@@ -59,7 +59,7 @@ fn run_case(case: &Case) -> Outcome {
         topo.pipeline_depth = 4;
     });
     let mut workload = Workload::closed(case.ops_per_client);
-    // Under full load the transport's bounded per-peer queues can drop
+    // Under full load the transport's bounded per-connection backlogs can drop
     // frames (that is their contract); the default retransmit timeout
     // (half the view-change timeout) turns each drop into a 2s stall
     // that dominates the tail. Retry fast instead.

@@ -15,13 +15,12 @@
 use crate::clock::RtTimers;
 use crate::config::Topology;
 use crate::inject::{FaultPlane, StormSignal};
-use crate::transport::Transport;
+use crate::transport::Endpoint;
 use bft_core::{Action, ClientProxy, CompletedOp, Input, Target, TimerId};
 use bft_statemachine::CounterService;
 use bft_types::framing::frame_bytes;
 use bft_types::{ClientId, Message, NodeId, ReplicaId, SimDuration, Timestamp, Wire};
 use bytes::Bytes;
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -175,20 +174,8 @@ pub fn run_client_with(
         client_config.retransmit_timeout = SimDuration::from_micros(rt.as_micros() as u64);
     }
     let mut proxy = ClientProxy::new(id, client_config, &keys);
-    let (in_tx, in_rx) = mpsc::channel::<Vec<u8>>();
-    let peers: Vec<(NodeId, std::net::SocketAddr)> = topo
-        .replicas
-        .iter()
-        .enumerate()
-        .map(|(i, addr)| (NodeId::Replica(ReplicaId(i as u32)), *addr))
-        .collect();
-    let transport = Transport::start_faulted(
-        vec![NodeId::Client(id)],
-        None,
-        peers,
-        in_tx,
-        hooks.faults.clone(),
-    );
+    let mut endpoint = client_endpoint(vec![NodeId::Client(id)], topo, hooks.faults.clone());
+    let mut inbox = Vec::new();
     let mut timers = RtTimers::<TimerId>::new();
     let mut storm_seen = hooks.storm.as_ref().map(|s| s.epoch(id)).unwrap_or(0);
 
@@ -222,10 +209,10 @@ pub fn run_client_with(
         let (op, read_only) = workload.op(k);
         let invoked = Instant::now();
         let actions = proxy.invoke(op, read_only);
-        apply_client_actions(actions, &transport, &mut timers, topo.replicas.len());
+        apply_client_actions(actions, &mut endpoint, &mut timers, topo.replicas.len());
 
         // Wait for the reply certificate.
-        let done: Option<CompletedOp> = loop {
+        let done: Option<CompletedOp> = 'wait: loop {
             if Instant::now() >= hard_deadline {
                 break None;
             }
@@ -239,7 +226,12 @@ pub fn run_client_with(
                     let mut finished = None;
                     for timer in timers.drain_armed() {
                         let (actions, done) = proxy.on_input(Input::Timer(timer));
-                        apply_client_actions(actions, &transport, &mut timers, topo.replicas.len());
+                        apply_client_actions(
+                            actions,
+                            &mut endpoint,
+                            &mut timers,
+                            topo.replicas.len(),
+                        );
                         finished = finished.or(done);
                     }
                     if finished.is_some() {
@@ -250,29 +242,23 @@ pub fn run_client_with(
             // Client retransmission timer.
             if let Some(timer) = timers.pop_due() {
                 let (actions, done) = proxy.on_input(Input::Timer(timer));
-                apply_client_actions(actions, &transport, &mut timers, topo.replicas.len());
+                apply_client_actions(actions, &mut endpoint, &mut timers, topo.replicas.len());
                 if done.is_some() {
                     break done;
                 }
             }
-            let wait = timers
-                .until_next()
-                .unwrap_or(Duration::from_millis(20))
-                .min(Duration::from_millis(20));
-            match in_rx.recv_timeout(wait) {
-                Ok(payload) => {
-                    let mut slice = payload.as_slice();
-                    let Ok(msg) = Message::decode(&mut slice) else {
-                        continue;
-                    };
-                    let (actions, done) = proxy.on_input(Input::Deliver(msg));
-                    apply_client_actions(actions, &transport, &mut timers, topo.replicas.len());
-                    if done.is_some() {
-                        break done;
-                    }
+            endpoint.flush();
+            endpoint.poll(poll_wait(&mut timers), &mut inbox);
+            for payload in inbox.drain(..) {
+                let mut slice = payload.as_slice();
+                let Ok(msg) = Message::decode(&mut slice) else {
+                    continue;
+                };
+                let (actions, done) = proxy.on_input(Input::Deliver(msg));
+                apply_client_actions(actions, &mut endpoint, &mut timers, topo.replicas.len());
+                if done.is_some() {
+                    break 'wait done;
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break None,
             }
         };
         match done {
@@ -290,7 +276,8 @@ pub fn run_client_with(
         }
     }
     report.wall = started.elapsed();
-    transport.shutdown();
+    endpoint.flush();
+    endpoint.shutdown();
     report
 }
 
@@ -327,15 +314,14 @@ pub trait OpSource {
 
 /// Drives many logical clients from ONE thread over ONE transport.
 ///
-/// The transport greets as every client id, so all of them share the
+/// The endpoint greets as every client id, so all of them share the
 /// same four sockets: requests from different clients coalesce into
 /// batched writes, and each replica's replies to the whole group come
-/// back over a single connection and are drained in one wake-up. On a
-/// loaded host this collapses the per-operation thread-hop cost that
-/// dominates when every client owns its own transport (8 threads and
-/// ~4 context switches per frame), which is what lets the benchmark
-/// drive high client counts without the load generator itself becoming
-/// the bottleneck. Protocol semantics are unchanged — each logical
+/// back over a single connection and are drained in one wake-up. That
+/// keeps the per-client socket and wake-up cost out of the load
+/// generator, which is what lets the benchmark drive high client counts
+/// without the generator itself becoming the bottleneck. Protocol
+/// semantics are unchanged — each logical
 /// client is a full [`ClientProxy`] with its own timestamps,
 /// retransmission timer, and reply certificate.
 pub fn run_mux_clients(
@@ -424,19 +410,9 @@ pub fn run_mux_sources(
     if let Some(rt) = retransmit {
         client_config.retransmit_timeout = SimDuration::from_micros(rt.as_micros() as u64);
     }
-    let (in_tx, in_rx) = mpsc::channel::<Vec<u8>>();
-    let peers: Vec<(NodeId, std::net::SocketAddr)> = topo
-        .replicas
-        .iter()
-        .enumerate()
-        .map(|(i, addr)| (NodeId::Replica(ReplicaId(i as u32)), *addr))
-        .collect();
-    let transport = Transport::start_as(
-        ids.iter().map(|&c| NodeId::Client(c)).collect(),
-        None,
-        peers,
-        in_tx,
-    );
+    let identities = ids.iter().map(|&c| NodeId::Client(c)).collect();
+    let mut endpoint = client_endpoint(identities, topo, None);
+    let mut inbox = Vec::new();
     let n = topo.replicas.len();
     let mut timers = RtTimers::<(usize, TimerId)>::new();
 
@@ -466,7 +442,7 @@ pub fn run_mux_sources(
         // Fire due client retransmission timers.
         while let Some((i, tid)) = timers.pop_due() {
             let (actions, done) = slots[i].proxy.on_input(Input::Timer(tid));
-            apply_mux_actions(i, actions, &transport, &mut timers, n);
+            apply_mux_actions(i, actions, &mut endpoint, &mut timers, n);
             if let Some(done) = done {
                 record_completion(&mut slots[i], i, source, done);
             }
@@ -481,45 +457,35 @@ pub fn run_mux_sources(
                 NextOp::Invoke { op, read_only, tag } => {
                     slot.invoked = Some((Instant::now(), tag));
                     let actions = slot.proxy.invoke(op, read_only);
-                    apply_mux_actions(i, actions, &transport, &mut timers, n);
+                    apply_mux_actions(i, actions, &mut endpoint, &mut timers, n);
                 }
                 NextOp::Wait => {}
                 NextOp::Finished => slot.halted = true,
             }
         }
-        // Drain inbound replies; one wake-up handles everything queued.
-        let wait = timers
-            .until_next()
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        let mut next = in_rx.recv_timeout(wait);
-        loop {
-            let payload = match next {
-                Ok(p) => p,
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
+        // Send what this round produced, then take every reply that is
+        // ready in one wake-up.
+        endpoint.flush();
+        endpoint.poll(poll_wait(&mut timers), &mut inbox);
+        for payload in inbox.drain(..) {
             let mut slice = payload.as_slice();
-            if let Ok(msg) = Message::decode(&mut slice) {
-                let target = match &msg {
-                    Message::Reply(r) => match r.requester {
-                        bft_types::Requester::Client(c) => index.get(&c).copied(),
-                        _ => None,
-                    },
+            let Ok(msg) = Message::decode(&mut slice) else {
+                continue;
+            };
+            let target = match &msg {
+                Message::Reply(r) => match r.requester {
+                    bft_types::Requester::Client(c) => index.get(&c).copied(),
                     _ => None,
-                };
-                if let Some(i) = target {
-                    let (actions, done) = slots[i].proxy.on_input(Input::Deliver(msg));
-                    apply_mux_actions(i, actions, &transport, &mut timers, n);
-                    if let Some(done) = done {
-                        record_completion(&mut slots[i], i, source, done);
-                    }
+                },
+                _ => None,
+            };
+            if let Some(i) = target {
+                let (actions, done) = slots[i].proxy.on_input(Input::Deliver(msg));
+                apply_mux_actions(i, actions, &mut endpoint, &mut timers, n);
+                if let Some(done) = done {
+                    record_completion(&mut slots[i], i, source, done);
                 }
             }
-            next = in_rx.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => RecvTimeoutError::Timeout,
-                mpsc::TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
-            });
         }
     }
 
@@ -527,7 +493,8 @@ pub fn run_mux_sources(
     for slot in &mut slots {
         slot.report.wall = wall;
     }
-    transport.shutdown();
+    endpoint.flush();
+    endpoint.shutdown();
     slots.into_iter().map(|s| s.report).collect()
 }
 
@@ -567,15 +534,38 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A client driver's endpoint: no listener, every replica dialed.
+fn client_endpoint(
+    identities: Vec<NodeId>,
+    topo: &Topology,
+    faults: Option<Arc<FaultPlane>>,
+) -> Endpoint {
+    let peers = topo
+        .replicas
+        .iter()
+        .enumerate()
+        .map(|(i, addr)| (NodeId::Replica(ReplicaId(i as u32)), *addr))
+        .collect();
+    Endpoint::new(identities, None, peers, faults).expect("open client endpoint")
+}
+
+/// How long a driver may sleep in `poll`: until its next retransmission
+/// timer, and never more than 20 ms (pacing and storms are checked
+/// between polls).
+fn poll_wait<T: Copy + Eq + std::hash::Hash>(timers: &mut RtTimers<T>) -> Duration {
+    let idle = Duration::from_millis(20);
+    timers.until_next().unwrap_or(idle).min(idle)
+}
+
 fn apply_client_actions(
     actions: Vec<Action>,
-    transport: &Transport,
+    endpoint: &mut Endpoint,
     timers: &mut RtTimers<TimerId>,
     n: usize,
 ) {
     for action in actions {
         match action {
-            Action::Send { to, msg } => dispatch_send(transport, to, &msg, n),
+            Action::Send { to, msg } => dispatch_send(endpoint, to, &msg, n),
             Action::SetTimer { id, after } => timers.set(id, after),
             Action::CancelTimer { id } => timers.cancel(id),
         }
@@ -587,13 +577,13 @@ fn apply_client_actions(
 fn apply_mux_actions(
     slot: usize,
     actions: Vec<Action>,
-    transport: &Transport,
+    endpoint: &mut Endpoint,
     timers: &mut RtTimers<(usize, TimerId)>,
     n: usize,
 ) {
     for action in actions {
         match action {
-            Action::Send { to, msg } => dispatch_send(transport, to, &msg, n),
+            Action::Send { to, msg } => dispatch_send(endpoint, to, &msg, n),
             Action::SetTimer { id, after } => timers.set((slot, id), after),
             Action::CancelTimer { id } => timers.cancel((slot, id)),
         }
@@ -601,17 +591,17 @@ fn apply_mux_actions(
 }
 
 /// Encodes `msg` once and queues it toward every destination `to` names.
-fn dispatch_send(transport: &Transport, to: Target, msg: &Message, n: usize) {
-    let frame = Arc::new(frame_bytes(msg));
+fn dispatch_send(endpoint: &mut Endpoint, to: Target, msg: &Message, n: usize) {
+    let frame = frame_bytes(msg);
     match to {
-        Target::Replica(r) => transport.send(NodeId::Replica(r), frame),
+        Target::Replica(r) => endpoint.send(NodeId::Replica(r), &frame),
         Target::AllReplicas => {
             for i in 0..n {
-                transport.send(NodeId::Replica(ReplicaId(i as u32)), Arc::clone(&frame));
+                endpoint.send(NodeId::Replica(ReplicaId(i as u32)), &frame);
             }
         }
-        Target::Requester(r) => transport.send(bft_core::authn::requester_node(r), frame),
-        Target::Node(node) => transport.send(node, frame),
+        Target::Requester(r) => endpoint.send(bft_core::authn::requester_node(r), &frame),
+        Target::Node(node) => endpoint.send(node, &frame),
     }
 }
 

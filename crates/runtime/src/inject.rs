@@ -2,19 +2,19 @@
 //! simulator's lossy channel.
 //!
 //! A [`FaultPlane`] is a shared, thread-safe decision table consulted by
-//! every [`crate::transport::Transport`] on its *send* path, one verdict
+//! every [`crate::transport::Endpoint`] on its *send* path, one verdict
 //! per directed frame: deliver now, deliver late (delay/reorder), deliver
 //! twice (duplicate), or drop. The same fault vocabulary as the
 //! simulator's `bft_net` channel applies — group partitions, full node
 //! isolation, and per-directed-link [`LinkProfile`] loss/jitter — so a
 //! chaos schedule generated for the simulator drives real sockets
-//! unchanged. Faults act on whole frames *before* they reach a peer
-//! queue: a dropped frame was never sent, a delayed frame re-enters the
-//! normal routing when its deadline passes (on a per-transport delay
-//! thread), which also reorders it behind frames sent later. TCP still
-//! delivers whatever survives in order per connection — loss and
-//! reordering live here, between the protocol and the socket, exactly
-//! where a WAN or a flaky switch would put them.
+//! unchanged. Faults act on whole frames *before* they reach a
+//! connection backlog: a dropped frame was never sent, a delayed frame
+//! waits in the endpoint's deadline heap and re-enters the normal
+//! routing when its deadline passes, which also reorders it behind
+//! frames sent later. TCP still delivers whatever survives in order per
+//! connection — loss and reordering live here, between the protocol and
+//! the socket, exactly where a WAN or a flaky switch would put them.
 //!
 //! The plane's RNG is seeded, so a plan's *schedule* replays exactly;
 //! the interleaving with protocol traffic is real time and genuinely

@@ -9,20 +9,26 @@
 //! [`bft_core::ReplicaDriver`]) and runs them over real sockets and a
 //! real clock:
 //!
-//! * [`transport`] — a threaded `std::net` TCP transport: one listener
-//!   per replica, persistent dialed connections with exponential
-//!   reconnect backoff, per-peer bounded outbound queues (overflow drops
-//!   the frame — exactly the loss semantics the protocol already
-//!   tolerates), and the length-prefixed, CRC-checksummed framing from
-//!   [`bft_types::framing`].
+//! * [`transport`] — a readiness-driven TCP endpoint per node: the
+//!   listener, every connection, and a wake pipe sit in one `poll(2)`
+//!   set owned by the thread that steps the state machine. Frames are
+//!   appended to a bounded byte backlog per connection and written with
+//!   one `write` per connection per loop iteration; a frame that does
+//!   not fit, or has no route, is dropped and counted — exactly the loss
+//!   semantics the protocol already tolerates. Persistent dialed
+//!   connections reconnect with exponential backoff through one dialer
+//!   helper thread, and the length-prefixed, CRC-checksummed framing
+//!   comes from [`bft_types::framing`].
 //! * [`clock`] — the [`bft_net::EventWheel`] timer wheel re-keyed from
 //!   virtual microseconds to monotonic microseconds since process start;
 //!   retransmission, status, and view-change timers run off the real
-//!   clock with the same keyed single-shot semantics the simulator uses.
+//!   clock with the same keyed single-shot semantics the simulator uses,
+//!   and the next deadline bounds the endpoint's poll timeout.
 //! * [`node`] — the replica event loop (`pbft-node`): one protocol
-//!   thread owns the replica; reader threads feed it checksum-verified
-//!   frame payloads; timers and control requests interleave with
-//!   deliveries.
+//!   thread owns the replica and its endpoint — poll, step every ready
+//!   payload, flush once. A node runs at most `2 + workers` threads: the
+//!   loop, the dialer, and the optional [`pool::MacPool`] workers, whose
+//!   results wake the same loop.
 //! * [`client`] — the load generator (`pbft-client`): open- or
 //!   closed-loop clients over the same transport, reusing the benchmark
 //!   workload mix (writes with a read-only sprinkle).
@@ -31,15 +37,19 @@
 //!   127.0.0.1 ephemeral ports inside one process, used by the
 //!   integration tests and the `realnet` benchmark.
 //! * [`inject`] — [`inject::FaultPlane`]: chaos-mode fault injection on
-//!   the transport's send path (partitions, isolation, per-link
-//!   loss/jitter/duplication), so the simulator's seeded chaos schedules
-//!   drive real sockets (`chaos --realnet`).
+//!   the endpoint's send path (partitions, isolation, per-link
+//!   loss/jitter/duplication), consulted once per frame; delayed and
+//!   duplicated frames wait in the endpoint's deadline heap. The
+//!   simulator's seeded chaos schedules drive real sockets
+//!   (`chaos --realnet`).
 //!
-//! Authentication note: all nodes derive session-key material
-//! deterministically from the topology's `key_seed`
-//! ([`bft_core::ClusterKeys::generate`]). That makes a config file
-//! sufficient to boot a cluster for development and testing; a hardened
-//! deployment would provision per-node keys out of band.
+//! Authentication note: the transport's identity greeting is not
+//! authenticated (see [`transport`] for the trust-model caveat), and all
+//! nodes derive session-key material deterministically from the
+//! topology's `key_seed` ([`bft_core::ClusterKeys::generate`]). That
+//! makes a config file sufficient to boot a cluster for development and
+//! testing; a hardened deployment would provision per-node keys out of
+//! band.
 
 pub mod bfs_driver;
 pub mod client;
@@ -64,8 +74,8 @@ pub use config::{ConfigError, ConfigErrorKind, ServiceKind, StorageKind, Topolog
 pub use inject::{FaultPlane, LinkTally, SendVerdict, StormSignal};
 pub use loopback::{ConvergeFailure, ConvergeTimeout, LoopbackCluster, ShardedLoopback};
 pub use node::{
-    spawn_counter_replica, spawn_counter_replica_faulted, spawn_service_replica,
-    spawn_service_replica_faulted, NodeHandle, Snapshot,
+    spawn_counter_replica, spawn_service_replica, spawn_service_replica_faulted, NodeHandle,
+    Snapshot,
 };
 pub use pool::MacPool;
-pub use transport::{Transport, TransportStats};
+pub use transport::{Endpoint, Transport, TransportStats, Waker};

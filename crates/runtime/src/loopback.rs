@@ -1,7 +1,7 @@
 //! An in-process PBFT cluster on 127.0.0.1 ephemeral ports.
 //!
-//! [`LoopbackCluster`] spawns `3f + 1` replica nodes, each with its own
-//! transport threads, talking real TCP through the loopback interface —
+//! [`LoopbackCluster`] spawns `3f + 1` replica nodes, each an event loop
+//! over its own sockets, talking real TCP through the loopback interface —
 //! the smallest deployment that exercises every runtime layer (framing,
 //! reconnect, real timers) without leaving the test process. Integration
 //! tests drive it with [`crate::client::run_client`] workers and check

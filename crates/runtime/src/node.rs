@@ -1,37 +1,37 @@
 //! The replica event loop: one protocol thread owning a
-//! [`bft_core::Replica`], driven by transport deliveries, real-clock
-//! timers, and control requests.
+//! [`bft_core::Replica`] and its transport [`Endpoint`] — the
+//! simulator's step loop transplanted onto a real harness through
+//! [`ReplicaDriver`]. Each iteration answers snapshot requests, fires
+//! due timers, flushes, then [`Endpoint::poll`]s until a socket is
+//! ready, a wake-up arrives, or the next timer is due, and steps the
+//! replica over every payload that arrived: sends append encoded frames
+//! to per-connection backlogs, timer actions re-arm the [`RtTimers`]
+//! wheel, and the next flush writes each backlog once. The replica is
+//! constructed *inside* the thread: protocol state shares `Rc` bodies.
 //!
-//! The loop is the simulator's step loop transplanted onto a real
-//! harness through [`ReplicaDriver`]: pop an input (a decoded message or
-//! a due timer), call [`ReplicaDriver::step`], interpret the actions
-//! (sends become encoded frames on the transport's queues, timer actions
-//! re-arm the [`RtTimers`] wheel). The replica itself is constructed
-//! *inside* the thread — protocol state shares `Rc` bodies and never
-//! crosses a thread boundary.
+//! Threads per node: this one, the endpoint's dialer, and the `workers`
+//! [`MacPool`] threads when the pool is on; their results wake this
+//! same loop through the endpoint's [`crate::transport::Waker`].
 
 use crate::clock::RtTimers;
-use crate::config::Topology;
+use crate::config::{ServiceKind, Topology};
 use crate::inject::FaultPlane;
 use crate::pool::MacPool;
-use crate::transport::{FrameBuf, StatsSnapshot, Transport};
-use bft_core::{Action, Input, Replica, ReplicaDriver, ReplicaStats, Target, TimerId};
+use crate::transport::{Endpoint, Probe, StatsSnapshot, Waker};
+use bft_core::{Action, AuthVerdict, Input, Replica, ReplicaDriver, ReplicaStats, Target, TimerId};
 use bft_crypto::Digest;
-use bft_statemachine::Service;
+use bft_statemachine::{CounterService, Service};
 use bft_types::framing::frame_bytes;
 use bft_types::{Message, NodeId, ReplicaId, Requester, SeqNo, Wire};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Idle poll interval: the loop wakes at least this often to check
-/// control messages and the shutdown flag.
+/// Idle poll interval: the loop wakes at least this often to check the
+/// shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(25);
-
-/// Max deliveries drained per loop iteration before timers get a turn.
-const DRAIN_BATCH: usize = 128;
 
 /// A point-in-time copy of the replica state harness oracles compare.
 #[derive(Clone, Debug)]
@@ -79,18 +79,17 @@ impl Snapshot {
     }
 }
 
-enum Ctl {
-    Snapshot(Sender<Snapshot>),
-    Shutdown,
-}
-
 /// Handle to a spawned replica node.
 pub struct NodeHandle {
     /// Replica id.
     pub id: ReplicaId,
     /// The address the node listens on.
     pub addr: SocketAddr,
-    ctl: Sender<Ctl>,
+    /// Snapshot requests to the node thread.
+    snapshots: Sender<Sender<Snapshot>>,
+    /// Wakes the node's loop so requests are answered at once.
+    waker: Waker,
+    probe: Arc<Probe>,
     alive: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
 }
@@ -100,7 +99,8 @@ impl NodeHandle {
     /// node is dead.
     pub fn snapshot(&self) -> Option<Snapshot> {
         let (tx, rx) = mpsc::channel();
-        self.ctl.send(Ctl::Snapshot(tx)).ok()?;
+        self.snapshots.send(tx).ok()?;
+        self.waker.wake();
         rx.recv_timeout(Duration::from_secs(5)).ok()
     }
 
@@ -108,15 +108,17 @@ impl NodeHandle {
     /// thread exits without any farewell messages. Idempotent.
     pub fn kill(&mut self) {
         self.alive.store(false, Ordering::Relaxed);
-        let _ = self.ctl.send(Ctl::Shutdown);
+        self.waker.wake();
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
     }
 
-    /// True while the node thread is running.
-    pub fn is_alive(&self) -> bool {
-        self.join.is_some() && self.alive.load(Ordering::Relaxed)
+    /// Leak check after [`NodeHandle::kill`]: `(running node and
+    /// transport threads, open sockets, return routes)`.
+    pub fn residual_state(&self) -> (u64, usize, usize) {
+        let (threads, sockets, routes) = self.probe.residual_state();
+        (threads + u64::from(self.join.is_some()), sockets, routes)
     }
 
     /// Blocks until the node thread exits (a server main-loop `join`).
@@ -162,34 +164,29 @@ where
     F: FnOnce(&Topology) -> S + Send + 'static,
 {
     let addr = listener.local_addr().expect("listener addr");
+    let peers: Vec<(NodeId, SocketAddr)> = topo
+        .replicas
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != id.0 as usize)
+        .map(|(i, addr)| (NodeId::Replica(ReplicaId(i as u32)), *addr))
+        .collect();
+    let endpoint = Endpoint::new(vec![NodeId::Replica(id)], Some(listener), peers, faults)
+        .expect("open replica endpoint");
+    let waker = endpoint.waker();
+    let probe = endpoint.probe();
     let alive = Arc::new(AtomicBool::new(true));
     let alive2 = Arc::clone(&alive);
-    let (ctl_tx, ctl_rx) = mpsc::channel::<Ctl>();
+    let (snapshot_tx, snapshot_rx) = mpsc::channel();
     let join = std::thread::Builder::new()
-        .name(format!("pbft-node-{}", id.0))
+        .name(endpoint.thread_name("node"))
         .spawn(move || {
             let keys = topo.keys();
             let config = topo.replica_config();
             let service = make_service(&topo);
             let mut replica = Replica::new(id, config.clone(), service, &keys, topo.key_seed);
-            let (in_tx, in_rx) = mpsc::channel::<Vec<u8>>();
-            let peers: Vec<(NodeId, SocketAddr)> = topo
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != id.0 as usize)
-                .map(|(i, addr)| (NodeId::Replica(ReplicaId(i as u32)), *addr))
-                .collect();
-            let transport = Transport::start_faulted(
-                vec![NodeId::Replica(id)],
-                Some(listener),
-                peers,
-                in_tx,
-                faults,
-            );
-            let mut timers = RtTimers::<TimerId>::new();
 
-            // Storage selection happens before the event loop forks:
+            // Storage selection happens before the event loop starts:
             // `wal` nodes recover from disk and persist from the first
             // input; `mem` nodes attach nothing, so the hot path pays
             // zero storage cost (the pre-storage behavior).
@@ -208,70 +205,26 @@ where
                     boot
                 }
             };
-
-            if topo.workers > 0 {
-                run_pooled(
-                    id, &topo, &config, &keys, replica, boot, transport, in_rx, timers, ctl_rx,
-                    alive2,
-                );
-                return;
-            }
-
-            let me = id;
-            apply_actions(me, boot, &transport, &mut timers, topo.replicas.len());
-
-            loop {
-                // Control requests first (snapshot, shutdown).
-                let mut stop = false;
-                while let Ok(ctl) = ctl_rx.try_recv() {
-                    match ctl {
-                        Ctl::Snapshot(reply) => {
-                            let _ = reply.send(take_snapshot(&replica, me, transport.stats()));
-                        }
-                        Ctl::Shutdown => stop = true,
-                    }
-                }
-                if stop || !alive2.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Fire every due timer.
-                while let Some(timer) = timers.pop_due() {
-                    let actions = replica.step(Input::Timer(timer));
-                    apply_actions(me, actions, &transport, &mut timers, topo.replicas.len());
-                }
-                // Wait for the next delivery, but never past the next
-                // timer deadline or the idle poll.
-                let wait = timers.until_next().unwrap_or(IDLE_POLL).min(IDLE_POLL);
-                match in_rx.recv_timeout(wait) {
-                    Ok(payload) => {
-                        deliver(&mut replica, payload, &transport, &mut timers, me, &topo);
-                        // Drain a bounded burst without re-waiting.
-                        for _ in 0..DRAIN_BATCH {
-                            match in_rx.try_recv() {
-                                Ok(payload) => deliver(
-                                    &mut replica,
-                                    payload,
-                                    &transport,
-                                    &mut timers,
-                                    me,
-                                    &topo,
-                                ),
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            transport.shutdown();
-            alive2.store(false, Ordering::Relaxed);
+            let pool = (topo.workers > 0).then(|| {
+                let name = endpoint.thread_name("mac");
+                MacPool::start(topo.workers, id, &config, &keys, &name, endpoint.waker())
+            });
+            let io = NodeIo {
+                me: id,
+                n: topo.replicas.len(),
+                endpoint,
+                pool,
+                timers: RtTimers::new(),
+            };
+            run_node(replica, boot, io, snapshot_rx, &alive2);
         })
         .expect("spawn node thread");
     NodeHandle {
         id,
         addr,
-        ctl: ctl_tx,
+        snapshots: snapshot_tx,
+        waker,
+        probe,
         alive,
         join: Some(join),
     }
@@ -280,26 +233,9 @@ where
 /// Spawns a replica running the [`bft_statemachine::CounterService`] —
 /// the default service of `pbft-node` and the loopback tests.
 pub fn spawn_counter_replica(id: ReplicaId, topo: Topology, listener: TcpListener) -> NodeHandle {
-    spawn_counter_replica_faulted(id, topo, listener, None)
-}
-
-/// [`spawn_counter_replica`] with an optional [`FaultPlane`] on the
-/// node's transport (the chaos-mode loopback cluster uses this).
-pub fn spawn_counter_replica_faulted(
-    id: ReplicaId,
-    topo: Topology,
-    listener: TcpListener,
-    faults: Option<Arc<FaultPlane>>,
-) -> NodeHandle {
-    spawn_replica_faulted(
-        id,
-        topo,
-        listener,
-        |topo: &Topology| {
-            bft_statemachine::CounterService::new(topo.clients + (3 * topo.f + 1) as u32)
-        },
-        faults,
-    )
+    let mut topo = topo;
+    topo.service = ServiceKind::Counter;
+    spawn_service_replica(id, topo, listener)
 }
 
 /// Checkpoint pages for the live BFS service. More pages than the
@@ -317,17 +253,11 @@ pub fn spawn_service_replica_faulted(
     listener: TcpListener,
     faults: Option<Arc<FaultPlane>>,
 ) -> NodeHandle {
+    let bfs = |_: &Topology| bfs::BfsService::new_realtime(BFS_LIVE_BUCKETS);
+    let counter = |t: &Topology| CounterService::new(t.clients + (3 * t.f + 1) as u32);
     match topo.service {
-        crate::config::ServiceKind::Counter => {
-            spawn_counter_replica_faulted(id, topo, listener, faults)
-        }
-        crate::config::ServiceKind::Bfs => spawn_replica_faulted(
-            id,
-            topo,
-            listener,
-            |_topo: &Topology| bfs::BfsService::new_realtime(BFS_LIVE_BUCKETS),
-            faults,
-        ),
+        ServiceKind::Counter => spawn_replica_faulted(id, topo, listener, counter, faults),
+        ServiceKind::Bfs => spawn_replica_faulted(id, topo, listener, bfs, faults),
     }
 }
 
@@ -336,48 +266,136 @@ pub fn spawn_service_replica(id: ReplicaId, topo: Topology, listener: TcpListene
     spawn_service_replica_faulted(id, topo, listener, None)
 }
 
-/// Decodes one checksum-verified payload and steps the replica with it.
-/// Undecodable payloads are dropped (the transport already verified the
-/// checksum, so this means a peer speaking garbage, not line noise).
-fn deliver<S: Service>(
-    replica: &mut Replica<S>,
-    payload: Vec<u8>,
-    transport: &Transport,
-    timers: &mut RtTimers<TimerId>,
-    me: ReplicaId,
-    topo: &Topology,
+/// The event loop. Direct (`io.pool` is `None`): payloads step the
+/// replica as they arrive. Pooled: payloads go to the [`MacPool`] for
+/// verification and step the replica, with the workers' verdicts, in
+/// arrival order once verified; outbound frames leave in the order the
+/// replica produced them.
+fn run_node<S: Service>(
+    mut replica: Replica<S>,
+    boot: Vec<Action>,
+    mut io: NodeIo,
+    snapshots: Receiver<Sender<Snapshot>>,
+    alive: &AtomicBool,
 ) {
-    let mut slice = payload.as_slice();
-    let Ok(msg) = Message::decode(&mut slice) else {
-        return;
-    };
-    if !slice.is_empty() {
-        return;
+    io.apply(boot);
+    let mut inbox = Vec::new();
+    while alive.load(Ordering::Relaxed) {
+        for reply in snapshots.try_iter() {
+            let _ = reply.send(take_snapshot(&replica, io.me, io.endpoint.probe().stats()));
+        }
+        io.fire_timers(&mut replica);
+        io.flush();
+        let wait = io.timers.until_next().unwrap_or(IDLE_POLL).min(IDLE_POLL);
+        io.endpoint.poll(wait, &mut inbox);
+        let verified = match &mut io.pool {
+            Some(pool) => {
+                for payload in inbox.drain(..) {
+                    pool.verify(payload);
+                }
+                pool.verified()
+            }
+            None => Vec::new(),
+        };
+        for payload in inbox.drain(..) {
+            io.deliver(&mut replica, &payload, None);
+        }
+        for (payload, verdict) in verified {
+            io.deliver(&mut replica, &payload, Some(verdict));
+        }
     }
-    let actions = replica.step(Input::Deliver(msg));
-    apply_actions(me, actions, transport, timers, topo.replicas.len());
+    if let Some(pool) = io.pool.take() {
+        pool.shutdown();
+    }
+    io.endpoint.shutdown();
+    alive.store(false, Ordering::Relaxed);
 }
 
-/// Interprets replica actions against the real harness: sends encode
-/// once and fan out shared frames; timer actions hit the wheel.
-fn apply_actions(
+/// Everything the loop drives besides the replica.
+struct NodeIo {
     me: ReplicaId,
-    actions: Vec<Action>,
-    transport: &Transport,
-    timers: &mut RtTimers<TimerId>,
     n: usize,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => {
-                let frame: FrameBuf = Arc::new(frame_bytes(&msg));
-                for dest in resolve_dests(me, &to, n) {
-                    transport.send(dest, Arc::clone(&frame));
-                }
-            }
-            Action::SetTimer { id, after } => timers.set(id, after),
-            Action::CancelTimer { id } => timers.cancel(id),
+    endpoint: Endpoint,
+    pool: Option<MacPool>,
+    timers: RtTimers<TimerId>,
+}
+
+impl NodeIo {
+    /// Decodes one checksum-verified payload and steps the replica with
+    /// it (and the pool's verdict, when it has one). Undecodable payloads
+    /// are dropped: the transport already verified the checksum, so
+    /// this means a peer speaking garbage, not line noise.
+    fn deliver<S: Service>(
+        &mut self,
+        replica: &mut Replica<S>,
+        payload: &[u8],
+        verdict: Option<AuthVerdict>,
+    ) {
+        let mut slice = payload;
+        let Ok(msg) = Message::decode(&mut slice) else {
+            return;
+        };
+        if !slice.is_empty() {
+            return;
         }
+        let actions = match verdict {
+            None => replica.step(Input::Deliver(msg)),
+            Some(verdict) => replica.step_verified(Input::Deliver(msg), verdict),
+        };
+        self.apply(actions);
+    }
+
+    fn fire_timers<S: Service>(&mut self, replica: &mut Replica<S>) {
+        while let Some(timer) = self.timers.pop_due() {
+            let actions = replica.step(Input::Timer(timer));
+            self.apply(actions);
+        }
+    }
+
+    /// Interprets replica actions: sends encode once and fan out to the
+    /// endpoint's backlogs — or, pooled, deferred-authenticator messages
+    /// go to workers as `(variant, content, nonce)` jobs and everything
+    /// else takes its place in the pool's output order; timer actions
+    /// hit the wheel.
+    fn apply(&mut self, actions: Vec<Action>) {
+        for action in actions {
+            match action {
+                Action::Send { to, msg } => {
+                    let dests = resolve_dests(self.me, &to, self.n);
+                    match &mut self.pool {
+                        None => {
+                            let frame = frame_bytes(&msg);
+                            for dest in dests {
+                                self.endpoint.send(dest, &frame);
+                            }
+                        }
+                        Some(_) if dests.is_empty() => {}
+                        Some(pool) => match msg.deferred_auth_parts() {
+                            Some((variant, content, nonce)) => {
+                                pool.send_deferred(variant, content, nonce, dests)
+                            }
+                            None => pool.send_ready(frame_bytes(&msg), dests),
+                        },
+                    }
+                }
+                Action::SetTimer { id, after } => self.timers.set(id, after),
+                Action::CancelTimer { id } => self.timers.cancel(id),
+            }
+        }
+    }
+
+    /// Moves the pool's in-order output to the endpoint and writes every
+    /// backlog.
+    fn flush(&mut self) {
+        if let Some(pool) = &mut self.pool {
+            let endpoint = &mut self.endpoint;
+            pool.release(|frame, dests| {
+                for &dest in dests {
+                    endpoint.send(dest, frame);
+                }
+            });
+        }
+        self.endpoint.flush();
     }
 }
 
@@ -418,137 +436,5 @@ fn take_snapshot<S: Service>(
         stats: replica.stats,
         transport,
         exec_blocker,
-    }
-}
-
-/// The pooled event loop: same step loop as the direct path, but MAC
-/// work rides the [`MacPool`]. Inbound payloads arrive pre-verified (in
-/// arrival order, with an [`bft_core::AuthVerdict`] consumed through
-/// [`ReplicaDriver::step_verified`]); outbound deferred-authenticator
-/// messages ship to workers as bytes and leave through the pool's
-/// order-preserving dispatcher, which also carries ready frames so the
-/// node's output order is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn run_pooled<S: Service>(
-    me: ReplicaId,
-    topo: &Topology,
-    config: &bft_core::ReplicaConfig,
-    keys: &bft_core::ClusterKeys,
-    mut replica: Replica<S>,
-    boot: Vec<Action>,
-    transport: Transport,
-    in_rx: Receiver<Vec<u8>>,
-    mut timers: RtTimers<TimerId>,
-    ctl_rx: Receiver<Ctl>,
-    alive: Arc<AtomicBool>,
-) {
-    let n = topo.replicas.len();
-    let transport = Arc::new(transport);
-    let mut pool = MacPool::start(
-        topo.workers,
-        me,
-        config,
-        keys,
-        in_rx,
-        Arc::clone(&transport),
-    );
-
-    apply_actions_pooled(me, boot, &mut pool, &mut timers, n);
-
-    loop {
-        let mut stop = false;
-        while let Ok(ctl) = ctl_rx.try_recv() {
-            match ctl {
-                Ctl::Snapshot(reply) => {
-                    let _ = reply.send(take_snapshot(&replica, me, transport.stats()));
-                }
-                Ctl::Shutdown => stop = true,
-            }
-        }
-        if stop || !alive.load(Ordering::Relaxed) {
-            break;
-        }
-        while let Some(timer) = timers.pop_due() {
-            let actions = replica.step(Input::Timer(timer));
-            apply_actions_pooled(me, actions, &mut pool, &mut timers, n);
-        }
-        let wait = timers.until_next().unwrap_or(IDLE_POLL).min(IDLE_POLL);
-        // recv_inbound already drains the verdict channel in bursts and
-        // returns the in-order prefix, so no extra DRAIN_BATCH loop.
-        match pool.recv_inbound(wait) {
-            Ok(batch) => {
-                for (payload, verdict) in batch {
-                    deliver_verified(
-                        &mut replica,
-                        payload,
-                        verdict,
-                        &mut pool,
-                        &mut timers,
-                        me,
-                        n,
-                    );
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Shutdown order matters: the transport's readers feed the pool's
-    // forwarder, so kill the transport first, then drain the pool.
-    transport.shutdown();
-    pool.shutdown();
-    alive.store(false, Ordering::Relaxed);
-}
-
-/// Pooled-path [`deliver`]: the payload was already decoded and checked
-/// by a worker; decode our own (thread-local) copy and step with the
-/// worker's verdict so the replica can skip redundant MAC checks.
-fn deliver_verified<S: Service>(
-    replica: &mut Replica<S>,
-    payload: Vec<u8>,
-    verdict: bft_core::AuthVerdict,
-    pool: &mut MacPool,
-    timers: &mut RtTimers<TimerId>,
-    me: ReplicaId,
-    n: usize,
-) {
-    let mut slice = payload.as_slice();
-    let Ok(msg) = Message::decode(&mut slice) else {
-        return;
-    };
-    if !slice.is_empty() {
-        return;
-    }
-    let actions = replica.step_verified(Input::Deliver(msg), verdict);
-    apply_actions_pooled(me, actions, pool, timers, n);
-}
-
-/// Pooled-path [`apply_actions`]: deferred-authenticator messages go to
-/// workers as `(variant, content, nonce)` jobs; everything else encodes
-/// here and enters the same ordered dispatcher as a ready frame.
-fn apply_actions_pooled(
-    me: ReplicaId,
-    actions: Vec<Action>,
-    pool: &mut MacPool,
-    timers: &mut RtTimers<TimerId>,
-    n: usize,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => {
-                let dests = resolve_dests(me, &to, n);
-                if dests.is_empty() {
-                    continue;
-                }
-                match msg.deferred_auth_parts() {
-                    Some((variant, content, nonce)) => {
-                        pool.send_deferred(variant, content, nonce, dests)
-                    }
-                    None => pool.send_ready(Arc::new(frame_bytes(&msg)), dests),
-                }
-            }
-            Action::SetTimer { id, after } => timers.set(id, after),
-            Action::CancelTimer { id } => timers.cancel(id),
-        }
     }
 }

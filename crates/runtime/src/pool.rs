@@ -3,44 +3,38 @@
 //! The paper's normal-case cost is dominated by MAC computation (§8.1),
 //! and MACs are embarrassingly parallel per message — but the protocol
 //! state machine is single-threaded by design (messages share `Rc`
-//! bodies and are `!Send`). The pool splits the difference by shipping
-//! *bytes*, never records:
+//! bodies and are `!Send`). The pool ships *bytes*, never records, and
+//! hangs off the node's event loop: the loop submits jobs and collects
+//! results, and workers wake the loop's endpoint through its [`Waker`].
 //!
-//! * **Inbound:** a forwarder thread stamps every checksum-verified
-//!   payload from the transport with a monotonically increasing token
-//!   and round-robins it to a worker. The worker decodes its own copy
-//!   of the message (worker-local; it never crosses a thread), runs
-//!   [`bft_core::preverify`] against its own [`AuthState`] — built from
-//!   the same deterministic [`ClusterKeys`], so key tables agree — and
-//!   returns `(token, payload, verdict)`. [`MacPool::recv_inbound`]
-//!   reorders completions by token, so the protocol thread consumes
-//!   inputs in exact arrival order: the pool changes *where* MACs are
-//!   checked, never the delivery order the replica observes.
-//! * **Outbound:** messages authored with a deferred authenticator
-//!   (nonce-only placeholder, see `Message::deferred_auth_parts`) are
-//!   handed to a worker as `(variant, content bytes, nonce)`. The
-//!   worker computes the per-receiver tags with prebuilt
-//!   [`MacContext`]s, rebuilds the exact wire payload (every message
-//!   encodes `auth` last), frames it, and passes it to a dispatcher
-//!   thread that releases frames to the transport in submission order.
-//!   Ready frames (replies, view-change traffic) flow through the same
-//!   dispatcher with their own tokens, so deferral never reorders a
-//!   node's output stream.
+//! * **Inbound:** [`MacPool::verify`] stamps a payload with a token and
+//!   round-robins it to a worker, which decodes its own copy, runs
+//!   [`bft_core::preverify`] against its own [`AuthState`] (same
+//!   deterministic [`ClusterKeys`], so key tables agree), and returns
+//!   the verdict. [`MacPool::verified`] releases verdicts in token
+//!   order, so the replica consumes inputs in exact arrival order: the
+//!   pool changes *where* MACs are checked, never the delivery order.
+//! * **Outbound:** a message authored with a deferred authenticator
+//!   (nonce-only placeholder, see `Message::deferred_auth_parts`) goes
+//!   to a worker as `(variant, content bytes, nonce)`; the worker
+//!   computes the per-receiver tags with prebuilt [`MacContext`]s and
+//!   rebuilds the exact wire frame (every message encodes `auth` last).
+//!   Ready frames take tokens from the same sequence, and
+//!   [`MacPool::release`] hands frames out in token order, so deferral
+//!   never reorders a node's output stream.
 //!
 //! The pool assumes static session keys: the runtime refuses to enable
 //! it when proactive recovery (key refreshment, §4.3.1) is configured.
 
-use crate::transport::{FrameBuf, Transport};
+use crate::transport::Waker;
 use bft_core::authn::AuthState;
 use bft_core::{preverify, AuthVerdict, ClusterKeys, ReplicaConfig};
 use bft_crypto::{Authenticator, MacContext};
 use bft_types::framing::frame_payload;
 use bft_types::{Auth, Message, NodeId, ReplicaId, Wire};
 use std::collections::BTreeMap;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 enum Job {
     /// Verify one inbound payload's authentication.
@@ -55,99 +49,137 @@ enum Job {
     },
 }
 
-/// An outbound frame ready for the wire, tagged with its send token.
-struct Outgoing {
-    token: u64,
-    frame: FrameBuf,
-    dests: Vec<NodeId>,
+/// An outbound frame ready for the wire, with its destinations.
+type Outgoing = (Vec<u8>, Vec<NodeId>);
+
+/// A finished job, tagged with its token.
+enum Done {
+    Verified(u64, Vec<u8>, AuthVerdict),
+    Authored(u64, Outgoing),
+}
+
+/// Releases items in the order their tokens were handed out, whatever order
+/// they complete in.
+struct Reorder<T> {
+    handed_out: u64,
+    released: u64,
+    done: BTreeMap<u64, T>,
+}
+
+impl<T> Reorder<T> {
+    fn new() -> Self {
+        Reorder {
+            handed_out: 0,
+            released: 0,
+            done: BTreeMap::new(),
+        }
+    }
+
+    fn token(&mut self) -> u64 {
+        self.handed_out += 1;
+        self.handed_out - 1
+    }
+
+    fn complete(&mut self, token: u64, item: T) {
+        self.done.insert(token, item);
+    }
+
+    /// The next item in token order, once it has completed.
+    fn pop(&mut self) -> Option<T> {
+        let item = self.done.remove(&self.released)?;
+        self.released += 1;
+        Some(item)
+    }
 }
 
 /// Handle owned by the protocol thread. See the module docs.
 pub struct MacPool {
     job_txs: Vec<Sender<Job>>,
     next_worker: usize,
-    out_tx: Sender<Outgoing>,
-    verdict_rx: Receiver<(u64, Vec<u8>, AuthVerdict)>,
-    /// Completions that arrived ahead of a still-outstanding token.
-    reorder: BTreeMap<u64, (Vec<u8>, AuthVerdict)>,
-    next_in: u64,
-    next_out: u64,
+    done_rx: Receiver<Done>,
+    inbound: Reorder<(Vec<u8>, AuthVerdict)>,
+    outbound: Reorder<Outgoing>,
     joins: Vec<JoinHandle<()>>,
 }
 
 impl MacPool {
-    /// Starts `workers` workers plus the forwarder and dispatcher.
-    /// `raw_rx` is the transport's inbound payload channel; authored and
-    /// ready frames leave through `transport`.
+    /// Starts `workers` worker threads named `{name}{w}`; each wakes
+    /// `waker` whenever it finishes a job.
     pub fn start(
         workers: usize,
         me: ReplicaId,
         config: &ReplicaConfig,
         keys: &ClusterKeys,
-        raw_rx: Receiver<Vec<u8>>,
-        transport: Arc<Transport>,
+        name: &str,
+        waker: Waker,
     ) -> MacPool {
         assert!(workers > 0, "MacPool needs at least one worker");
-        let (verdict_tx, verdict_rx) = mpsc::channel();
-        let (out_tx, out_rx) = mpsc::channel::<Outgoing>();
+        let (done_tx, done_rx) = mpsc::channel();
         let mut job_txs = Vec::with_capacity(workers);
-        let mut joins = Vec::new();
+        let mut joins = Vec::with_capacity(workers);
         for w in 0..workers {
             let (job_tx, job_rx) = mpsc::channel::<Job>();
             job_txs.push(job_tx);
-            let verdict_tx = verdict_tx.clone();
-            let out_tx = out_tx.clone();
+            let (done_tx, waker) = (done_tx.clone(), waker.clone());
             let keys = keys.clone();
             let config = config.clone();
             joins.push(
                 std::thread::Builder::new()
-                    .name(format!("pbft-mac-{}-{w}", me.0))
-                    .spawn(move || worker_loop(me, &config, &keys, job_rx, verdict_tx, out_tx))
+                    .name(format!("{name}{w}"))
+                    .spawn(move || worker_loop(me, &config, &keys, job_rx, done_tx, waker))
                     .expect("spawn mac worker"),
             );
         }
-        let forward_txs = job_txs.clone();
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("pbft-fwd-{}", me.0))
-                .spawn(move || forwarder_loop(raw_rx, forward_txs))
-                .expect("spawn forwarder"),
-        );
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("pbft-dispatch-{}", me.0))
-                .spawn(move || dispatcher_loop(out_rx, transport))
-                .expect("spawn dispatcher"),
-        );
         MacPool {
             job_txs,
             next_worker: 0,
-            out_tx,
-            verdict_rx,
-            reorder: BTreeMap::new(),
-            next_in: 0,
-            next_out: 0,
+            done_rx,
+            inbound: Reorder::new(),
+            outbound: Reorder::new(),
             joins,
+        }
+    }
+
+    fn next_worker(&mut self) -> &Sender<Job> {
+        let w = self.next_worker;
+        self.next_worker = (w + 1) % self.job_txs.len();
+        &self.job_txs[w]
+    }
+
+    /// Submits an inbound payload for verification; it comes back from
+    /// [`MacPool::verified`] in submission order.
+    pub fn verify(&mut self, payload: Vec<u8>) {
+        let token = self.inbound.token();
+        let _ = self.next_worker().send(Job::Verify { token, payload });
+    }
+
+    /// Verified payloads whose turn has come, in submission order.
+    pub fn verified(&mut self) -> Vec<(Vec<u8>, AuthVerdict)> {
+        self.collect();
+        std::iter::from_fn(|| self.inbound.pop()).collect()
+    }
+
+    /// Moves finished jobs into their reorder buffers.
+    fn collect(&mut self) {
+        for done in self.done_rx.try_iter() {
+            match done {
+                Done::Verified(token, payload, v) => self.inbound.complete(token, (payload, v)),
+                Done::Authored(token, out) => self.outbound.complete(token, out),
+            }
         }
     }
 
     /// Sends a fully authenticated frame; it takes its place in the
     /// output order behind any deferred frames submitted before it.
-    pub fn send_ready(&mut self, frame: FrameBuf, dests: Vec<NodeId>) {
-        let token = self.next_out;
-        self.next_out += 1;
-        let _ = self.out_tx.send(Outgoing {
-            token,
-            frame,
-            dests,
-        });
+    pub fn send_ready(&mut self, frame: Vec<u8>, dests: Vec<NodeId>) {
+        let token = self.outbound.token();
+        self.outbound.complete(token, (frame, dests));
     }
 
     /// Submits a deferred-authenticator message for worker-side MAC
     /// computation and frame assembly.
     pub fn send_deferred(&mut self, variant: u8, content: Vec<u8>, nonce: u64, dests: Vec<NodeId>) {
-        let token = self.next_out;
-        self.next_out += 1;
+        let token = self.outbound.token();
         let job = Job::Author {
             token,
             variant,
@@ -155,95 +187,40 @@ impl MacPool {
             nonce,
             dests,
         };
-        let w = self.next_worker;
-        self.next_worker = (self.next_worker + 1) % self.job_txs.len();
-        let _ = self.job_txs[w].send(job);
+        let _ = self.next_worker().send(job);
     }
 
-    /// Waits up to `timeout` for verified inbound payloads and returns
-    /// them in arrival order (the forwarder's token order). An empty
-    /// result never occurs: timeouts surface as `Err(Timeout)`.
-    pub fn recv_inbound(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Vec<(Vec<u8>, AuthVerdict)>, RecvTimeoutError> {
-        let ready = self.pop_ready();
-        if !ready.is_empty() {
-            return Ok(ready);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(RecvTimeoutError::Timeout)?;
-            let (token, payload, verdict) = self.verdict_rx.recv_timeout(remaining)?;
-            self.reorder.insert(token, (payload, verdict));
-            while let Ok((t, p, v)) = self.verdict_rx.try_recv() {
-                self.reorder.insert(t, (p, v));
-            }
-            let ready = self.pop_ready();
-            if !ready.is_empty() {
-                return Ok(ready);
-            }
-            // The head-of-line token is still in flight on a worker;
-            // keep waiting for it.
+    /// Hands every outbound frame whose turn has come to `emit`, in
+    /// submission order.
+    pub fn release(&mut self, mut emit: impl FnMut(&[u8], &[NodeId])) {
+        self.collect();
+        while let Some((frame, dests)) = self.outbound.pop() {
+            emit(&frame, &dests);
         }
     }
 
-    fn pop_ready(&mut self) -> Vec<(Vec<u8>, AuthVerdict)> {
-        let mut ready = Vec::new();
-        while let Some(item) = self.reorder.remove(&self.next_in) {
-            self.next_in += 1;
-            ready.push(item);
-        }
-        ready
-    }
-
-    /// Drains and joins every pool thread. Call *after* the transport
-    /// has shut down (its readers feed the forwarder; joining the
-    /// forwarder first would deadlock on a still-open channel).
+    /// Stops and joins every worker.
     pub fn shutdown(self) {
-        let MacPool {
-            job_txs,
-            out_tx,
-            verdict_rx,
-            joins,
-            ..
-        } = self;
-        // Closing the job channels stops the workers once the forwarder
-        // (whose inbound channel died with the transport) exits too; the
-        // dispatcher follows when the last worker drops its out sender.
+        let MacPool { job_txs, joins, .. } = self;
         drop(job_txs);
-        drop(out_tx);
-        drop(verdict_rx);
         for join in joins {
             let _ = join.join();
         }
     }
 }
 
-/// Stamps inbound payloads with tokens and round-robins them across
-/// workers. Exits when the transport side of the channel closes.
-fn forwarder_loop(raw_rx: Receiver<Vec<u8>>, job_txs: Vec<Sender<Job>>) {
-    for (token, payload) in raw_rx.iter().enumerate() {
-        let token = token as u64;
-        let w = (token % job_txs.len() as u64) as usize;
-        if job_txs[w].send(Job::Verify { token, payload }).is_err() {
-            return;
-        }
-    }
-}
-
 /// One pool worker: owns an independent [`AuthState`] (same
 /// deterministic key material as the replica) for inbound verification
-/// and per-receiver [`MacContext`]s for outbound authoring.
+/// and per-receiver [`MacContext`]s for outbound authoring. Wakes the
+/// loop after every finished job; exits when the pool drops its job
+/// channel.
 fn worker_loop(
     me: ReplicaId,
     config: &ReplicaConfig,
     keys: &ClusterKeys,
     jobs: Receiver<Job>,
-    verdict_tx: Sender<(u64, Vec<u8>, AuthVerdict)>,
-    out_tx: Sender<Outgoing>,
+    done: Sender<Done>,
+    waker: Waker,
 ) {
     let auth = AuthState::new(
         config.auth,
@@ -258,7 +235,7 @@ fn worker_loop(
         .map(|j| MacContext::new(&auth.keys.out_key(j)))
         .collect();
     for job in jobs.iter() {
-        match job {
+        let sent = match job {
             Job::Verify { token, payload } => {
                 let verdict = {
                     let mut slice = payload.as_slice();
@@ -271,9 +248,7 @@ fn worker_loop(
                 };
                 // Every Verify job must complete exactly once or the
                 // protocol thread's reorder buffer stalls.
-                if verdict_tx.send((token, payload, verdict)).is_err() {
-                    return;
-                }
+                done.send(Done::Verified(token, payload, verdict)).is_ok()
             }
             Job::Author {
                 token,
@@ -292,36 +267,14 @@ fn worker_loop(
                 payload.push(variant);
                 payload.extend_from_slice(&content);
                 auth_field.encode(&mut payload);
-                let frame = Arc::new(frame_payload(&payload));
-                if out_tx
-                    .send(Outgoing {
-                        token,
-                        frame,
-                        dests,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
+                let frame = frame_payload(&payload);
+                done.send(Done::Authored(token, (frame, dests))).is_ok()
             }
+        };
+        if !sent {
+            return;
         }
-    }
-}
-
-/// Releases outbound frames to the transport in token order, so the
-/// node's output stream is identical to what a single-threaded sender
-/// would have produced.
-fn dispatcher_loop(out_rx: Receiver<Outgoing>, transport: Arc<Transport>) {
-    let mut next = 0u64;
-    let mut pending: BTreeMap<u64, (FrameBuf, Vec<NodeId>)> = BTreeMap::new();
-    for out in out_rx.iter() {
-        pending.insert(out.token, (out.frame, out.dests));
-        while let Some((frame, dests)) = pending.remove(&next) {
-            next += 1;
-            for dest in dests {
-                transport.send(dest, Arc::clone(&frame));
-            }
-        }
+        waker.wake();
     }
 }
 
@@ -419,31 +372,34 @@ mod tests {
         assert!(Message::Commit(c).deferred_auth_parts().is_none());
     }
 
-    /// End-to-end pool sanity: deferred frames reach the transport in
+    /// End-to-end pool sanity: deferred frames reach a peer in
     /// submission order, interleaved ready frames included, and inbound
     /// verification verdicts come back in token order.
     #[test]
     fn pool_orders_output_and_verifies_input() {
+        use crate::transport::{Endpoint, Transport};
         use std::net::TcpListener;
+        use std::time::{Duration, Instant};
         let config = ReplicaConfig::small(1);
         let keys = ClusterKeys::generate(config.group, config.num_clients, 128, 42);
         // A listener-backed transport on the receiving end captures what
-        // the pool's dispatcher emits.
+        // the pool releases.
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = l.local_addr().unwrap();
         let receiver = NodeId::Replica(ReplicaId(2));
         let (recv_tx, recv_rx) = mpsc::channel();
         let t_recv = Transport::start(receiver, Some(l), vec![], recv_tx);
-        let (send_tx, _send_rx) = mpsc::channel();
-        let t_send = Arc::new(Transport::start(
-            NodeId::Replica(ReplicaId(1)),
-            None,
-            vec![(receiver, addr)],
-            send_tx,
-        ));
+        let sender = NodeId::Replica(ReplicaId(1));
+        let t_send = Transport::start(sender, None, vec![(receiver, addr)], mpsc::channel().0);
 
-        let (raw_tx, raw_rx) = mpsc::channel();
-        let mut pool = MacPool::start(2, ReplicaId(1), &config, &keys, raw_rx, Arc::clone(&t_send));
+        // Workers wake this endpoint's poll, as they wake a node's loop.
+        let mut ep = Endpoint::new(vec![sender], None, vec![], None).unwrap();
+        let mut pool = MacPool::start(2, ReplicaId(1), &config, &keys, "pbft-test-mac", ep.waker());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut wait = move || {
+            assert!(Instant::now() < deadline, "pool made no progress");
+            ep.poll(Duration::from_millis(100), &mut Vec::new());
+        };
 
         // Outbound: two deferred commits with a ready frame between
         // them. All three must arrive, in submission order.
@@ -463,15 +419,27 @@ mod tests {
             pool.send_deferred(variant, content, nonce, vec![receiver]);
             if seq == 1 {
                 pool.send_ready(
-                    Arc::new(frame_bytes(&Message::Commit(Commit {
+                    frame_bytes(&Message::Commit(Commit {
                         view: View(0),
                         seq: SeqNo(100),
                         digest: bft_crypto::digest(b"ready"),
                         replica: ReplicaId(1),
                         auth: Auth::None,
-                    }))),
+                    })),
                     vec![receiver],
                 );
+            }
+        }
+        let mut released = 0;
+        while released < 3 {
+            pool.release(|frame, dests| {
+                released += 1;
+                for &dest in dests {
+                    t_send.send(dest, std::sync::Arc::new(frame.to_vec()));
+                }
+            });
+            if released < 3 {
+                wait();
             }
         }
         let mut seqs = Vec::new();
@@ -519,18 +487,18 @@ mod tests {
         req.auth = client_auth.authenticate_multicast_msg(&req);
         let mut good = Vec::new();
         Message::Request(req).encode(&mut good);
-        raw_tx.send(good.clone()).unwrap();
-        raw_tx.send(vec![0xFF, 0xFF]).unwrap();
-        let mut got = Vec::new();
+        pool.verify(good.clone());
+        pool.verify(vec![0xFF, 0xFF]);
+        let mut got = pool.verified();
         while got.len() < 2 {
-            got.extend(pool.recv_inbound(Duration::from_secs(5)).expect("verdicts"));
+            wait();
+            got.extend(pool.verified());
         }
         assert_eq!(got[0].0, good);
         assert_eq!(got[0].1, AuthVerdict::Verified);
         assert_eq!(got[1].1, AuthVerdict::Unverified);
 
         t_send.shutdown();
-        drop(raw_tx);
         pool.shutdown();
         t_recv.shutdown();
     }

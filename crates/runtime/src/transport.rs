@@ -1,29 +1,31 @@
-//! Threaded TCP transport with framed messages, per-peer outbound
-//! queues, and reconnect backoff.
+//! The TCP transport: one readiness-driven [`Endpoint`] per node, owned
+//! by the thread that steps the node's state machine.
 //!
-//! Design constraints, in order:
+//! The endpoint keeps the listener, every connection, and a wake pipe
+//! in one `poll(2)` set. Its owner loops: [`Endpoint::poll`] (until a
+//! socket is ready, a [`Waker`] fires, a fault-delayed frame falls due,
+//! or the owner's next timer passes), step over the returned payloads,
+//! [`Endpoint::send`] each frame into its connection's byte backlog, and
+//! [`Endpoint::flush`] with one `write` per connection. [`Transport`] is
+//! the same endpoint hosted on a thread of its own.
 //!
-//! * **The protocol thread never blocks on the network.** Each peer has
-//!   a bounded outbound queue drained by a dedicated writer thread; a
-//!   full queue or a dead connection *drops* the frame. PBFT is built
-//!   for exactly that fault model (§2.2: unreliable links; status-driven
-//!   retransmission recovers), so backpressure degrades to loss instead
-//!   of stalling consensus.
+//! * **The owner never blocks on the network.** Sockets are
+//!   non-blocking and a backlog holds at most [`BACKLOG_BYTES`]; a frame
+//!   that does not fit, or has no route, is dropped and counted — the
+//!   loss PBFT tolerates (§2.2; status retransmission recovers). TCP
+//!   connects run on one dialer thread per endpoint (jittered
+//!   exponential backoff, idle while every peer is connected).
 //! * **Messages never cross threads.** Protocol messages share `Rc`
-//!   bodies and are deliberately not `Send`. Reader threads verify
-//!   framing checksums and ship raw payload bytes; the protocol thread
-//!   decodes. Outbound, the protocol thread encodes once into an
-//!   `Arc<[u8]>` frame that every destination's queue shares.
-//! * **Connections carry an identity greeting.** The first frame on a
-//!   dialed connection lists the dialer's [`NodeId`] identities (one
-//!   for an ordinary node; many for a multiplexed client driver).
-//!   Replicas use it to register return routes, which is how replies
-//!   reach clients that are not listed in the topology (they dialed
-//!   in).
-//!
-//! Topology-listed peers (replicas) get *persistent* dialers that
-//! reconnect with exponential backoff forever; accepted connections are
-//! registered dynamically and dropped when the socket dies.
+//!   bodies; the endpoint deals in bytes only.
+//! * **Connections carry an identity greeting.** A dialed connection
+//!   opens with the dialer's [`NodeId`]s (many for a multiplexed client
+//!   driver); the accepting side registers a return route per identity.
+//! * **Fault injection sits at send time.** With a [`FaultPlane`], each
+//!   frame gets a verdict in [`Endpoint::send`]; delayed and duplicated
+//!   frames wait in a deadline heap that bounds the poll timeout.
+//! * **Network bytes never panic.** A malformed greeting, a bad frame
+//!   header or checksum, or EOF inside a frame closes that connection
+//!   and bumps `framing_errors`; the endpoint serves everyone else.
 //!
 //! **Trust model caveat:** the greeting is *not* authenticated — any
 //! TCP peer can claim any [`NodeId`] and capture that node's dynamic
@@ -38,24 +40,41 @@
 //! over a connection nonce) before registering a route.
 
 use crate::inject::{FaultPlane, SendVerdict};
+use bft_fxhash::FastMap;
 use bft_types::framing::{frame_bytes, FrameDecoder};
+use bft_types::wire::Wire;
 use bft_types::NodeId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{Read, Write};
+use std::hash::BuildHasher;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One encoded frame, shared across every destination of a fan-out.
+/// One encoded frame, as the hosted [`Transport`] takes it.
 pub type FrameBuf = Arc<Vec<u8>>;
 
-/// Outbound queue depth per peer. Beyond this the sender is outrunning
-/// the link and frames drop (the protocol's retransmission recovers).
-const OUTBOUND_QUEUE: usize = 4096;
+/// Unwritten bytes one connection may hold; beyond this, frames drop.
+pub const BACKLOG_BYTES: usize = 4 << 20;
+/// Bytes per socket read (one buffer per endpoint).
+const READ_CHUNK: usize = 64 * 1024;
+/// Reads per connection per poll, so one flooding peer cannot starve
+/// the others or the owner's timers.
+const READS_PER_ROUND: usize = 4;
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Pause after a failed `accept` (EMFILE, ...): the listener stays
+/// readable, so polling it again at once would spin.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
+/// Poll timeout of an idle hosted [`Transport`].
+const HOST_IDLE: Duration = Duration::from_millis(100);
 
 /// First reconnect delay; the per-attempt cap doubles per failure up to
 /// [`BACKOFF_MAX`].
@@ -85,172 +104,751 @@ fn backoff_cap(attempt: u32) -> Duration {
         .min(BACKOFF_MAX)
 }
 
-/// Transport counters (all monotonic; read with [`TransportStats::snapshot`]).
-#[derive(Default)]
-pub struct TransportStats {
-    /// Frames handed to a writer queue.
-    pub frames_sent: AtomicU64,
-    /// Frames dropped: no route, full queue, or dead connection.
-    pub frames_dropped: AtomicU64,
-    /// Checksum-clean payloads delivered to the inbound channel.
-    pub frames_received: AtomicU64,
-    /// Connections that died on a framing error (corruption).
-    pub framing_errors: AtomicU64,
+/// Declares the monotonic counters once, as atomics ([`TransportStats`])
+/// and as a plain-value copy ([`StatsSnapshot`]).
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Transport counters (monotonic; read with [`TransportStats::snapshot`]).
+        #[derive(Default)]
+        pub struct TransportStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A plain-value copy of [`TransportStats`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl TransportStats {
+            /// Reads every counter.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Frames appended to a connection backlog — one per frame, however
+    /// many frames one write carries.
+    frames_sent,
+    /// Frames dropped: no route, a full backlog, or a dead connection.
+    frames_dropped,
+    /// Checksum-clean payloads handed to the owner.
+    frames_received,
+    /// Connections closed on bad bytes: a malformed greeting, a bad
+    /// frame header or checksum, or EOF inside a frame.
+    framing_errors,
     /// Successful outbound connects (including reconnects).
-    pub connects: AtomicU64,
+    connects,
     /// Accepted inbound connections.
-    pub accepts: AtomicU64,
+    accepts,
     /// Frames held back by the fault-injection shim before delivery.
-    pub injected_delayed: AtomicU64,
+    injected_delayed,
     /// Frames dropped by the fault-injection shim (never sent).
-    pub injected_dropped: AtomicU64,
+    injected_dropped,
     /// Duplicate frame copies created by the fault-injection shim.
-    pub injected_duplicated: AtomicU64,
+    injected_duplicated,
+    /// Socket `write` calls that moved bytes.
+    writes,
 }
 
-/// A plain-value copy of the counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`TransportStats::frames_sent`].
-    pub frames_sent: u64,
-    /// See [`TransportStats::frames_dropped`].
-    pub frames_dropped: u64,
-    /// See [`TransportStats::frames_received`].
-    pub frames_received: u64,
-    /// See [`TransportStats::framing_errors`].
-    pub framing_errors: u64,
-    /// See [`TransportStats::connects`].
-    pub connects: u64,
-    /// See [`TransportStats::accepts`].
-    pub accepts: u64,
-    /// See [`TransportStats::injected_delayed`].
-    pub injected_delayed: u64,
-    /// See [`TransportStats::injected_dropped`].
-    pub injected_dropped: u64,
-    /// See [`TransportStats::injected_duplicated`].
-    pub injected_duplicated: u64,
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
 }
 
-impl TransportStats {
-    /// Reads every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_dropped: self.frames_dropped.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            framing_errors: self.framing_errors.load(Ordering::Relaxed),
-            connects: self.connects.load(Ordering::Relaxed),
-            accepts: self.accepts.load(Ordering::Relaxed),
-            injected_delayed: self.injected_delayed.load(Ordering::Relaxed),
-            injected_dropped: self.injected_dropped.load(Ordering::Relaxed),
-            injected_duplicated: self.injected_duplicated.load(Ordering::Relaxed),
+/// `poll(2)` through a minimal FFI shim: the build is offline with no
+/// `libc` crate, and `std` has no readiness API.
+mod sys {
+    use std::os::raw::{c_int, c_short};
+    use std::time::Duration;
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until a descriptor in `fds` is ready or `timeout` passes.
+    /// Sub-millisecond timeouts round *up*, so a near deadline sleeps
+    /// instead of spinning. Returns false on failure (EINTR included).
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> bool {
+        let ms = timeout.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // pollfd records that outlives the call; `nfds` is its length.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) >= 0 }
+    }
+}
+
+/// Wakes an [`Endpoint`] blocked in [`Endpoint::poll`] from another
+/// thread. Wakes coalesce: at most one byte waits in the pipe.
+#[derive(Clone)]
+pub struct Waker(Arc<WakePipe>);
+
+struct WakePipe {
+    tx: UnixStream,
+    /// Set by the first wake after a drain and cleared by the loop only
+    /// *after* draining, so a producer that finds it set knows the loop
+    /// will check its channels before sleeping again.
+    armed: AtomicBool,
+}
+
+impl Waker {
+    /// Makes the endpoint's current or next `poll` return promptly.
+    pub fn wake(&self) {
+        if !self.0.armed.swap(true, Ordering::AcqRel) {
+            // A full pipe already holds a wake-up.
+            let _ = (&self.0.tx).write(&[1]);
         }
     }
 }
 
-/// A dynamically registered return route (an accepted connection).
-struct DynRoute {
-    /// Connection generation; deregistration only removes its own.
-    conn_id: u64,
-    queue: SyncSender<FrameBuf>,
-}
-
-struct Shared {
-    /// Shutdown flag. SeqCst on both sides: workers that insert into
-    /// `socks`/`dynamic` re-check it *after* inserting, and `shutdown`
-    /// sets it *before* draining, so every insert either happens before
-    /// the drain or is cleaned up by its own re-check — never leaked.
-    alive: AtomicBool,
-    /// Return routes learned from connection greetings.
-    dynamic: Mutex<HashMap<NodeId, DynRoute>>,
-    /// Every live socket, for [`Transport::shutdown`] to interrupt
-    /// blocked reads/writes. Keyed by a registration token so each
-    /// connection's reader removes its entry when the connection dies —
-    /// otherwise a flapping peer would leak one fd per reconnect.
-    socks: Mutex<HashMap<u64, TcpStream>>,
-    /// Join handles of every worker thread (dialers, acceptor, readers,
-    /// writers, accepted connections). [`Transport::shutdown`] joins
-    /// them all, so no transport thread outlives `shutdown()`'s return.
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Running worker-thread count (shutdown regression tests assert it
-    /// reaches zero). Incremented before spawn, decremented on exit.
-    live_threads: AtomicU64,
+/// An endpoint's counters and leak gauges, readable from any thread
+/// and after the endpoint has shut down.
+#[derive(Default)]
+pub struct Probe {
     stats: TransportStats,
-    next_conn_id: AtomicU64,
+    /// Helper threads not yet joined (the dialer).
+    live_threads: AtomicU64,
+    sockets: AtomicUsize,
+    routes: AtomicUsize,
 }
 
-impl Shared {
-    /// Registers a socket for shutdown interruption; the returned token
-    /// releases it via [`Shared::deregister_sock`].
-    fn register_sock(&self, stream: &TcpStream) -> u64 {
-        let token = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            self.socks.lock().expect("socks lock").insert(token, clone);
+impl Probe {
+    /// Live counter values.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.stats.snapshot()
+    }
+
+    /// `(helper threads, open sockets, return routes)`; all zero once
+    /// the endpoint has shut down.
+    pub fn residual_state(&self) -> (u64, usize, usize) {
+        let threads = self.live_threads.load(Ordering::SeqCst);
+        let sockets = self.sockets.load(Ordering::SeqCst);
+        (threads, sockets, self.routes.load(Ordering::SeqCst))
+    }
+}
+
+/// Bytes queued for one connection, bounded by [`BACKLOG_BYTES`].
+#[derive(Default)]
+struct Backlog {
+    bytes: Vec<u8>,
+    /// Frames appended since the backlog was last empty.
+    frames: u64,
+}
+
+impl Backlog {
+    fn push(&mut self, frame: &[u8]) -> bool {
+        if self.bytes.len() + frame.len() > BACKLOG_BYTES {
+            return false;
         }
-        // Re-check after inserting: a concurrent `shutdown` may already
-        // have drained the map, in which case this socket missed the
-        // close pass and its reader would block past `stop()`. Close it
-        // here instead.
-        if !self.is_alive() {
-            if let Some(sock) = self.socks.lock().expect("socks lock").remove(&token) {
-                let _ = sock.shutdown(Shutdown::Both);
+        self.bytes.extend_from_slice(frame);
+        self.frames += 1;
+        true
+    }
+
+    /// Empties the backlog; returns the frames lost.
+    fn discard(&mut self) -> u64 {
+        self.bytes = Vec::new();
+        std::mem::take(&mut self.frames)
+    }
+}
+
+enum Role {
+    /// Dialed to this topology peer. The connection outlives its sockets:
+    /// it buffers frames while unconnected and is redialed when lost.
+    Dialed(SocketAddr),
+    /// Accepted; the identities its greeting named (empty until then —
+    /// a valid greeting names at least one).
+    Accepted(Vec<NodeId>),
+}
+
+struct Conn {
+    /// `None` while a dialed peer is unconnected.
+    stream: Option<TcpStream>,
+    decoder: FrameDecoder,
+    out: Backlog,
+    /// The kernel took only part of the backlog; wait for `POLLOUT`.
+    blocked: bool,
+    role: Role,
+}
+
+impl Conn {
+    /// Connected, with bytes to write and room in the kernel for them.
+    fn writable(&self) -> bool {
+        self.stream.is_some() && !self.blocked && !self.out.bytes.is_empty()
+    }
+
+    /// One `write` of the backlog; false when the connection is dead.
+    fn write_out(&mut self, stats: &TransportStats) -> bool {
+        let Some(stream) = &mut self.stream else {
+            return true;
+        };
+        match stream.write(&self.out.bytes) {
+            Ok(n) => {
+                bump(&stats.writes, 1);
+                self.out.bytes.drain(..n);
+                self.blocked = !self.out.bytes.is_empty();
+                if !self.blocked {
+                    self.out.frames = 0;
+                    // Give back what a long stall grew.
+                    if self.out.bytes.capacity() > 4 * READ_CHUNK {
+                        self.out.bytes.shrink_to(READ_CHUNK);
+                    }
+                }
+                true
             }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                self.blocked = true;
+                true
+            }
+            Err(e) => e.kind() == ErrorKind::Interrupted,
+        }
+    }
+}
+
+/// A frame the fault plane held back: `(due, FIFO tiebreak, to, frame)`.
+type HeldFrame = Reverse<(Instant, u64, NodeId, Vec<u8>)>;
+
+/// What the dialer reports, by connection id.
+enum DialEvent {
+    Connected(u64, TcpStream),
+    Failed(u64),
+}
+
+/// One node's sockets, driven by its owning thread. See the module docs.
+pub struct Endpoint {
+    me: NodeId,
+    /// Names this endpoint's threads: the listening port, else `me`.
+    label: String,
+    greeting: Vec<u8>,
+    listener: Option<TcpListener>,
+    accept_paused_until: Option<Instant>,
+    /// Connections by id. Ids are never reused, so a route never names
+    /// a newer connection by mistake.
+    conns: FastMap<u64, Conn>,
+    next_id: u64,
+    /// The dialed connection of each topology peer.
+    peers: FastMap<NodeId, u64>,
+    /// Return routes from greetings on accepted connections. Keyed by
+    /// what peers claim, so it keeps the default collision-resistant hasher.
+    routes: HashMap<NodeId, u64>,
+    faults: Option<Arc<FaultPlane>>,
+    held: BinaryHeap<HeldFrame>,
+    wake_rx: UnixStream,
+    waker: Waker,
+    /// Dial requests and results; see [`dialer_loop`].
+    dial_tx: Option<Sender<(u64, SocketAddr)>>,
+    dial_rx: Receiver<DialEvent>,
+    dialer: Option<JoinHandle<()>>,
+    probe: Arc<Probe>,
+    /// The poll set, and the connection behind each entry past the
+    /// wake pipe and listener.
+    fds: Vec<sys::PollFd>,
+    fd_conns: Vec<u64>,
+    scratch: Vec<u8>,
+}
+
+impl Endpoint {
+    /// Opens an endpoint that greets as `identities` (`identities[0]` is
+    /// its primary name). `listener` accepts inbound connections
+    /// (replicas listen; clients pass `None`); `peers` are dialed
+    /// persistently with reconnect backoff.
+    pub fn new(
+        identities: Vec<NodeId>,
+        listener: Option<TcpListener>,
+        peers: Vec<(NodeId, SocketAddr)>,
+        faults: Option<Arc<FaultPlane>>,
+    ) -> io::Result<Endpoint> {
+        assert!(!identities.is_empty(), "transport needs an identity");
+        let me = identities[0];
+        let label = match &listener {
+            Some(l) => {
+                l.set_nonblocking(true)?;
+                l.local_addr()?.port().to_string()
+            }
+            None => me.to_string(),
+        };
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let armed = AtomicBool::new(false);
+        let waker = Waker(Arc::new(WakePipe { tx: wake_tx, armed }));
+        let probe = Arc::new(Probe::default());
+        let (dial_tx, request_rx) = mpsc::channel();
+        let (event_tx, dial_rx) = mpsc::channel();
+        let dialer = if peers.is_empty() {
+            None
+        } else {
+            let waker = waker.clone();
+            // RandomState keys are random, so jitter differs per endpoint
+            // and a healed partition's reconnect wave spreads out.
+            let seed = std::collections::hash_map::RandomState::new().hash_one(&label);
+            let thread = std::thread::Builder::new().name(format!("pbft-{label}-dial"));
+            let join = thread.spawn(move || dialer_loop(request_rx, event_tx, waker, seed))?;
+            probe.live_threads.store(1, Ordering::SeqCst);
+            Some(join)
+        };
+        let mut ep = Endpoint {
+            me,
+            label,
+            greeting: frame_bytes(&identities),
+            listener,
+            accept_paused_until: None,
+            conns: FastMap::default(),
+            next_id: 0,
+            peers: FastMap::default(),
+            routes: HashMap::new(),
+            faults,
+            held: BinaryHeap::new(),
+            wake_rx,
+            waker,
+            dial_tx: Some(dial_tx),
+            dial_rx,
+            dialer,
+            probe,
+            fds: Vec::new(),
+            fd_conns: Vec::new(),
+            scratch: vec![0; READ_CHUNK],
+        };
+        for (peer, addr) in peers {
+            let id = ep.insert_conn(None, Role::Dialed(addr));
+            ep.peers.insert(peer, id);
+            ep.redial(id);
+        }
+        Ok(ep)
+    }
+
+    /// The name of a thread serving this endpoint in `role`:
+    /// `pbft-<listening port or identity>-<role>`.
+    pub fn thread_name(&self, role: &str) -> String {
+        format!("pbft-{}-{role}", self.label)
+    }
+
+    /// A handle that wakes this endpoint's `poll` from any thread.
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
+    }
+
+    /// The counters, for other threads.
+    pub fn probe(&self) -> Arc<Probe> {
+        Arc::clone(&self.probe)
+    }
+
+    /// Queues one frame toward `to`: the topology peer's connection, else
+    /// a greeting's return route. No route or a full backlog drops the
+    /// frame. A fault plane may instead drop, delay, or duplicate it;
+    /// frames sent later without delay overtake delayed ones, as jitter
+    /// does on a real network.
+    pub fn send(&mut self, to: NodeId, frame: &[u8]) {
+        let Some(plane) = &self.faults else {
+            return self.route(to, frame);
+        };
+        let (delay_us, duplicate_us) = match plane.decide(self.me, to) {
+            SendVerdict::Drop => return bump(&self.probe.stats.injected_dropped, 1),
+            SendVerdict::Deliver {
+                delay_us,
+                duplicate_us,
+            } => (delay_us, duplicate_us),
+        };
+        if let Some(dup_us) = duplicate_us {
+            bump(&self.probe.stats.injected_duplicated, 1);
+            self.send_after(to, frame, dup_us);
+        }
+        self.send_after(to, frame, delay_us);
+    }
+
+    fn send_after(&mut self, to: NodeId, frame: &[u8], delay_us: u64) {
+        if delay_us == 0 {
+            return self.route(to, frame);
+        }
+        bump(&self.probe.stats.injected_delayed, 1);
+        let due = Instant::now() + Duration::from_micros(delay_us);
+        // The running count doubles as the FIFO tiebreak.
+        let seq = self.probe.stats.injected_delayed.load(Ordering::Relaxed);
+        self.held.push(Reverse((due, seq, to, frame.to_vec())));
+    }
+
+    /// Appends to the right backlog, counting the frame sent or dropped.
+    fn route(&mut self, to: NodeId, frame: &[u8]) {
+        let id = self.peers.get(&to).or_else(|| self.routes.get(&to));
+        let conn = id.and_then(|id| self.conns.get_mut(id));
+        let stats = &self.probe.stats;
+        if conn.is_some_and(|c| c.out.push(frame)) {
+            bump(&stats.frames_sent, 1);
+        } else {
+            bump(&stats.frames_dropped, 1);
+        }
+    }
+
+    /// Writes every non-empty backlog, one `write` per connection; what
+    /// the kernel does not take waits for `POLLOUT`.
+    pub fn flush(&mut self) {
+        let stats = &self.probe.stats;
+        let dead: Vec<u64> = (self.conns.iter_mut())
+            .filter(|(_, c)| c.writable())
+            .filter_map(|(&id, c)| (!c.write_out(stats)).then_some(id))
+            .collect();
+        for id in dead {
+            self.close(id);
+        }
+    }
+
+    /// Waits up to `timeout` (less when a delayed frame falls due), then
+    /// accepts, reads, and appends every checksum-verified payload to
+    /// `inbound`, in arrival order per connection. Returns early, with or
+    /// without input, when woken.
+    pub fn poll(&mut self, timeout: Duration, inbound: &mut Vec<Vec<u8>>) {
+        let now = Instant::now();
+        let mut timeout = timeout;
+        if let Some(Reverse((due, ..))) = self.held.peek() {
+            timeout = timeout.min(due.saturating_duration_since(now));
+        }
+        let listening = match (&self.listener, self.accept_paused_until) {
+            (Some(_), Some(until)) if until > now => {
+                timeout = timeout.min(until - now);
+                false
+            }
+            (listener, _) => listener.is_some(),
+        };
+        self.fds.clear();
+        self.fd_conns.clear();
+        self.fds.push(poll_fd(&self.wake_rx, sys::POLLIN));
+        if let (true, Some(l)) = (listening, &self.listener) {
+            self.fds.push(poll_fd(l, sys::POLLIN));
+        }
+        let base = self.fds.len();
+        for (&id, c) in &self.conns {
+            if let Some(stream) = &c.stream {
+                let events = sys::POLLIN | if c.blocked { sys::POLLOUT } else { 0 };
+                self.fds.push(poll_fd(stream, events));
+                self.fd_conns.push(id);
+            }
+        }
+        if !sys::wait(&mut self.fds, timeout) {
+            // EINTR, or a failure that would repeat at once: never spin.
+            return std::thread::sleep(Duration::from_millis(1));
+        }
+        if self.fds[0].revents != 0 {
+            let mut buf = [0u8; 64];
+            while matches!((&self.wake_rx).read(&mut buf), Ok(n) if n > 0) {}
+            // Disarm only after draining: see `WakePipe::armed`. The swap
+            // acquires what the producer's wake released, so every message
+            // it sent before waking is visible to the loop from here on.
+            self.waker.0.armed.swap(false, Ordering::AcqRel);
+        }
+        self.drain_dial_events();
+        if listening && self.fds[1].revents != 0 {
+            self.accept_all();
+        }
+        for i in 0..self.fd_conns.len() {
+            let (revents, id) = (self.fds[base + i].revents, self.fd_conns[i]);
+            if revents & sys::POLLOUT != 0 {
+                let stats = &self.probe.stats;
+                if self.conns.get_mut(&id).is_some_and(|c| !c.write_out(stats)) {
+                    self.close(id);
+                }
+            }
+            // POLLIN, POLLHUP and POLLERR all mean: read to learn more.
+            if revents & !sys::POLLOUT != 0 {
+                self.read_conn(id, inbound);
+            }
+        }
+        let now = Instant::now();
+        while self.held.peek().is_some_and(|Reverse(h)| h.0 <= now) {
+            if let Some(Reverse((_, _, to, frame))) = self.held.pop() {
+                self.route(to, &frame);
+            }
+        }
+    }
+
+    /// Closes every socket and stops the dialer. Idempotent; when it
+    /// returns, no helper thread runs and no socket or route remains.
+    pub fn shutdown(&mut self) {
+        for stream in self.conns.drain().filter_map(|(_, c)| c.stream) {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        token
+        self.peers.clear();
+        self.routes.clear();
+        self.listener = None;
+        self.dial_tx = None; // Ends the dialer's wait.
+        if let Some(join) = self.dialer.take() {
+            let _ = join.join();
+        }
+        self.probe.live_threads.store(0, Ordering::SeqCst);
+        self.update_gauges();
     }
 
-    fn deregister_sock(&self, token: u64) {
-        self.socks.lock().expect("socks lock").remove(&token);
-    }
-
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-}
-
-/// Spawns a transport worker thread registered for shutdown joining.
-fn spawn_worker<F>(shared: &Arc<Shared>, name: String, f: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    struct Running(Arc<Shared>);
-    impl Drop for Running {
-        fn drop(&mut self) {
-            self.0.live_threads.fetch_sub(1, Ordering::SeqCst);
+    /// Installs what the dialer reports. A connected stream sends the
+    /// greeting ahead of whatever queued while the peer was unconnected;
+    /// a failed attempt drops the queue.
+    fn drain_dial_events(&mut self) {
+        while let Ok(event) = self.dial_rx.try_recv() {
+            let (id, stream) = match event {
+                DialEvent::Connected(id, stream) => (id, stream),
+                DialEvent::Failed(id) => {
+                    if let Some(c) = self.conns.get_mut(&id) {
+                        bump(&self.probe.stats.frames_dropped, c.out.discard());
+                    }
+                    continue;
+                }
+            };
+            if stream.set_nonblocking(true).is_err() {
+                self.redial(id);
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            if let Some(conn) = self.conns.get_mut(&id) {
+                bump(&self.probe.stats.connects, 1);
+                conn.out.bytes.splice(0..0, self.greeting.iter().copied());
+                conn.stream = Some(stream);
+            }
+            self.update_gauges();
         }
     }
-    shared.live_threads.fetch_add(1, Ordering::SeqCst);
-    let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let _running = Running(shared2);
-            f()
-        })
-        .expect("spawn transport worker");
-    shared.threads.lock().expect("threads lock").push(handle);
+
+    fn accept_all(&mut self) {
+        while let Some(listener) = &self.listener {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    bump(&self.probe.stats.accepts, 1);
+                    if stream.set_nonblocking(true).is_ok() {
+                        let _ = stream.set_nodelay(true);
+                        self.insert_conn(Some(stream), Role::Accepted(Vec::new()));
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // EMFILE, ECONNABORTED, ...: transient, keep accepting.
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn insert_conn(&mut self, stream: Option<TcpStream>, role: Role) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        let (decoder, out, blocked) = (FrameDecoder::new(), Backlog::default(), false);
+        let conn = Conn {
+            stream,
+            decoder,
+            out,
+            blocked,
+            role,
+        };
+        self.conns.insert(id, conn);
+        self.update_gauges();
+        id
+    }
+
+    /// Reads what the socket has (bounded per round) into `inbound`. EOF,
+    /// a socket error, or bad bytes close the connection.
+    fn read_conn(&mut self, id: u64, inbound: &mut Vec<Vec<u8>>) {
+        for _ in 0..READS_PER_ROUND {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
+            };
+            let Some(stream) = &mut conn.stream else {
+                return;
+            };
+            let n = match stream.read(&mut self.scratch) {
+                Ok(0) if conn.decoder.pending() > 0 => 0, // Hung up inside a frame.
+                Ok(0) => return self.close(id),
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return self.close(id),
+            };
+            conn.decoder.extend(&self.scratch[..n]);
+            if n == 0 || !self.drain_frames(id, inbound) {
+                bump(&self.probe.stats.framing_errors, 1);
+                return self.close(id);
+            }
+            if n < READ_CHUNK {
+                return;
+            }
+        }
+    }
+
+    /// Pops every complete payload off a connection's decoder; the first
+    /// on an accepted connection is the greeting. False on bytes the
+    /// connection cannot survive (a length-prefixed stream cannot resync
+    /// past corruption).
+    fn drain_frames(&mut self, id: u64, inbound: &mut Vec<Vec<u8>>) -> bool {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return true;
+        };
+        loop {
+            let payload = match conn.decoder.next_payload() {
+                Ok(Some(payload)) => payload,
+                Ok(None) => return true,
+                Err(_) => return false,
+            };
+            match &mut conn.role {
+                Role::Accepted(ids) if ids.is_empty() => {
+                    let Some(greeted) = parse_greeting(&payload) else {
+                        return false;
+                    };
+                    for &node in &greeted {
+                        self.routes.insert(node, id);
+                    }
+                    *ids = greeted;
+                }
+                _ => {
+                    bump(&self.probe.stats.frames_received, 1);
+                    inbound.push(payload);
+                }
+            }
+        }
+    }
+
+    /// Closes a connection's socket; its unwritten frames count as
+    /// dropped. A dialed connection is redialed; an accepted one goes
+    /// with its return routes (unless a newer connection replaced them).
+    fn close(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if let Some(stream) = conn.stream.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        bump(&self.probe.stats.frames_dropped, conn.out.discard());
+        (conn.decoder, conn.blocked) = (FrameDecoder::new(), false);
+        if let Role::Dialed(_) = conn.role {
+            self.redial(id);
+        } else if let Some(Conn {
+            role: Role::Accepted(nodes),
+            ..
+        }) = self.conns.remove(&id)
+        {
+            for node in nodes {
+                if self.routes.get(&node) == Some(&id) {
+                    self.routes.remove(&node);
+                }
+            }
+        }
+        self.update_gauges();
+    }
+
+    fn redial(&self, id: u64) {
+        if let (Some(dial_tx), Some(conn)) = (&self.dial_tx, self.conns.get(&id)) {
+            if let Role::Dialed(addr) = conn.role {
+                let _ = dial_tx.send((id, addr));
+            }
+        }
+    }
+
+    /// Leak gauges for [`Probe::residual_state`], refreshed as
+    /// connections open and close.
+    fn update_gauges(&self) {
+        let open = self.conns.values().filter(|c| c.stream.is_some()).count();
+        self.probe.sockets.store(open, Ordering::SeqCst);
+        self.probe.routes.store(self.routes.len(), Ordering::SeqCst);
+    }
 }
 
-/// The per-node transport endpoint.
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+fn poll_fd(fd: &impl AsRawFd, events: i16) -> sys::PollFd {
+    let fd = fd.as_raw_fd();
+    sys::PollFd {
+        fd,
+        events,
+        revents: 0,
+    }
+}
+
+/// A greeting is a non-empty identity list and nothing else.
+fn parse_greeting(payload: &[u8]) -> Option<Vec<NodeId>> {
+    let mut slice = payload;
+    let ids = Vec::<NodeId>::decode(&mut slice).ok()?;
+    (slice.is_empty() && !ids.is_empty()).then_some(ids)
+}
+
+/// The dialer: connects to requested peers, retrying failures after
+/// [`backoff_delay`], and hands connected streams to the loop. Blocks on
+/// its request channel while nothing is due; exits when it closes.
+fn dialer_loop(
+    requests: Receiver<(u64, SocketAddr)>,
+    events: Sender<DialEvent>,
+    waker: Waker,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // (due, connection id, address, consecutive failures)
+    let mut due: Vec<(Instant, u64, SocketAddr, u32)> = Vec::new();
+    loop {
+        let request = match due.iter().map(|d| d.0).min() {
+            None => requests.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => requests.recv_timeout(at.saturating_duration_since(Instant::now())),
+        };
+        match request {
+            Ok((id, addr)) => due.push((Instant::now(), id, addr, 0)),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        let now = Instant::now();
+        while let Some(i) = due.iter().position(|d| d.0 <= now) {
+            let (_, id, addr, failures) = due.swap_remove(i);
+            let event = match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
+                Ok(stream) => DialEvent::Connected(id, stream),
+                Err(_) => {
+                    let retry = Instant::now() + backoff_delay(failures, &mut rng);
+                    due.push((retry, id, addr, failures.saturating_add(1)));
+                    DialEvent::Failed(id)
+                }
+            };
+            if events.send(event).is_err() {
+                return;
+            }
+            waker.wake();
+        }
+    }
+}
+
+enum Cmd {
+    Send(NodeId, FrameBuf),
+    /// Answered once every earlier command has been applied.
+    Sync(Sender<()>),
+    Stop,
+}
+
+/// An [`Endpoint`] hosted on a thread of its own: [`Transport::send`]
+/// works from any thread and payloads arrive on a channel. Nodes and
+/// client drivers own their endpoint directly; micro-benchmarks and
+/// tests use this form.
 pub struct Transport {
-    me: NodeId,
-    /// Persistent queues to topology-listed peers.
-    peers: HashMap<NodeId, SyncSender<FrameBuf>>,
-    shared: Arc<Shared>,
-    /// Chaos-mode fault table consulted per outbound frame.
-    faults: Option<Arc<FaultPlane>>,
-    /// Queue to the delay worker that re-routes held-back frames.
-    delay_tx: Option<SyncSender<DelayedFrame>>,
+    cmds: Sender<Cmd>,
+    waker: Waker,
+    probe: Arc<Probe>,
+    host: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Transport {
-    /// Starts a transport endpoint.
-    ///
-    /// `listener` accepts inbound connections (replicas listen; plain
-    /// clients pass `None`). `peers` are dialed persistently with
-    /// reconnect backoff. Checksum-verified inbound frame payloads are
-    /// delivered on `inbound` in arrival order.
+    /// Starts a hosted endpoint (see [`Endpoint::new`]); checksum-verified
+    /// inbound payloads arrive on `inbound` in arrival order.
     pub fn start(
         me: NodeId,
         listener: Option<TcpListener>,
@@ -260,11 +858,8 @@ impl Transport {
         Self::start_as(vec![me], listener, peers, inbound)
     }
 
-    /// [`Transport::start`] for an endpoint that greets as *several*
-    /// identities: the multiplexed client driver runs many logical
-    /// clients over one connection set, and every identity's return
-    /// route must land here. `identities[0]` is the endpoint's primary
-    /// name (used for thread labels and [`Transport::me`]).
+    /// [`Transport::start`] greeting as several identities;
+    /// `identities[0]` is the primary name.
     pub fn start_as(
         identities: Vec<NodeId>,
         listener: Option<TcpListener>,
@@ -274,11 +869,7 @@ impl Transport {
         Self::start_faulted(identities, listener, peers, inbound, None)
     }
 
-    /// [`Transport::start_as`] with an optional fault-injection plane:
-    /// every outbound frame asks the shared [`FaultPlane`] for a verdict
-    /// before touching a peer queue, so one plane imposes partitions,
-    /// loss, jitter, and duplication on a whole live cluster. `None`
-    /// costs nothing on the send path.
+    /// [`Transport::start_as`] with an optional fault-injection plane.
     pub fn start_faulted(
         identities: Vec<NodeId>,
         listener: Option<TcpListener>,
@@ -286,171 +877,57 @@ impl Transport {
         inbound: Sender<Vec<u8>>,
         faults: Option<Arc<FaultPlane>>,
     ) -> Transport {
-        assert!(!identities.is_empty(), "transport needs an identity");
-        let me = identities[0];
-        // The greeting frame is identical on every connection; build it
-        // once and share it with the dialers.
-        let greeting: Arc<Vec<u8>> = Arc::new(frame_bytes(&identities));
-        let shared = Arc::new(Shared {
-            alive: AtomicBool::new(true),
-            dynamic: Mutex::new(HashMap::new()),
-            socks: Mutex::new(HashMap::new()),
-            threads: Mutex::new(Vec::new()),
-            live_threads: AtomicU64::new(0),
-            stats: TransportStats::default(),
-            next_conn_id: AtomicU64::new(0),
-        });
-        let mut peer_queues = HashMap::new();
-        for (peer, addr) in peers {
-            let (tx, rx) = mpsc::sync_channel::<FrameBuf>(OUTBOUND_QUEUE);
-            peer_queues.insert(peer, tx);
-            let shared2 = Arc::clone(&shared);
-            let inbound2 = inbound.clone();
-            let greeting2 = Arc::clone(&greeting);
-            spawn_worker(&shared, format!("pbft-dial-{peer:?}"), move || {
-                dialer_loop(&greeting2, addr, rx, inbound2, shared2)
-            });
-        }
-        if let Some(listener) = listener {
-            let shared2 = Arc::clone(&shared);
-            let inbound2 = inbound.clone();
-            spawn_worker(&shared, format!("pbft-accept-{me:?}"), move || {
-                accept_loop(listener, inbound2, shared2)
-            });
-        }
-        // Delayed frames (jitter, duplicates) re-enter routing on their
-        // own worker, so the protocol thread's send never sleeps.
-        let delay_tx = faults.as_ref().map(|_| {
-            let (tx, rx) = mpsc::sync_channel::<DelayedFrame>(OUTBOUND_QUEUE);
-            let shared2 = Arc::clone(&shared);
-            let peers2 = peer_queues.clone();
-            spawn_worker(&shared, format!("pbft-delay-{me:?}"), move || {
-                delay_loop(rx, peers2, shared2)
-            });
-            tx
-        });
+        let endpoint =
+            Endpoint::new(identities, listener, peers, faults).expect("open transport endpoint");
+        let (cmds, cmd_rx) = mpsc::channel();
+        let (waker, probe) = (endpoint.waker(), endpoint.probe());
+        let host = std::thread::Builder::new().name(endpoint.thread_name("host"));
+        let host = host.spawn(move || host_loop(endpoint, cmd_rx, inbound));
+        let host = Mutex::new(Some(host.expect("spawn transport host")));
         Transport {
-            me,
-            peers: peer_queues,
-            shared,
-            faults,
-            delay_tx,
+            cmds,
+            waker,
+            probe,
+            host,
         }
     }
 
-    /// Queues one frame toward `to`: a persistent peer queue when the
-    /// topology lists one, otherwise a dynamic return route from a
-    /// greeting. No route, a full queue, or a dead peer drops the frame.
-    /// With a fault plane attached, the frame may instead be dropped,
-    /// held back, or duplicated per the plane's verdict.
+    /// Queues one frame toward `to` (see [`Endpoint::send`]).
     pub fn send(&self, to: NodeId, frame: FrameBuf) {
-        let Some(plane) = &self.faults else {
-            return route_frame(&self.peers, &self.shared, to, frame);
-        };
-        match plane.decide(self.me, to) {
-            SendVerdict::Drop => {
-                self.shared
-                    .stats
-                    .injected_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            SendVerdict::Deliver {
-                delay_us,
-                duplicate_us,
-            } => {
-                if let Some(dup_us) = duplicate_us {
-                    self.shared
-                        .stats
-                        .injected_duplicated
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.send_after(to, Arc::clone(&frame), dup_us);
-                }
-                self.send_after(to, frame, delay_us);
-            }
+        if self.cmds.send(Cmd::Send(to, frame)).is_ok() {
+            self.waker.wake();
         }
     }
 
-    /// Routes a frame now (`delay_us == 0`) or hands it to the delay
-    /// worker. A full delay queue degrades to loss, like every other
-    /// overloaded queue in the transport.
-    fn send_after(&self, to: NodeId, frame: FrameBuf, delay_us: u64) {
-        if delay_us == 0 {
-            return route_frame(&self.peers, &self.shared, to, frame);
-        }
-        self.shared
-            .stats
-            .injected_delayed
-            .fetch_add(1, Ordering::Relaxed);
-        let delayed = DelayedFrame {
-            due: Instant::now() + Duration::from_micros(delay_us),
-            to,
-            frame,
-        };
-        let dropped = match &self.delay_tx {
-            Some(tx) => tx.try_send(delayed).is_err(),
-            None => true,
-        };
-        if dropped {
-            self.shared
-                .stats
-                .frames_dropped
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// This endpoint's identity.
-    pub fn me(&self) -> NodeId {
-        self.me
-    }
-
-    /// Live counter values.
+    /// Counter values, including the effect of every earlier `send`.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        let (ack, done) = mpsc::channel();
+        if self.cmds.send(Cmd::Sync(ack)).is_ok() {
+            self.waker.wake();
+            let _ = done.recv_timeout(Duration::from_secs(5));
+        }
+        self.probe.stats()
     }
 
-    /// Stops the transport: closes every socket (interrupting blocked
-    /// reads), then *joins* every worker thread, so when this returns no
-    /// transport thread is running and no socket is registered — a
-    /// dialer mid-reconnect or a reader mid-registration cannot leak
-    /// past it. Idempotent.
+    /// Stops the host thread, which closes every socket and joins the
+    /// dialer: when this returns no transport thread runs. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.alive.store(false, Ordering::SeqCst);
-        for (_, sock) in self.shared.socks.lock().expect("socks lock").drain() {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
-        self.shared.dynamic.lock().expect("dynamic lock").clear();
-        // Workers can still be spawning other workers (a dialer that just
-        // connected spawns its reader), so join in passes until one finds
-        // no new handles. Each pass re-drains sockets registered during
-        // the previous joins so their readers unblock. Self-join cannot
-        // happen (shutdown is only called from owner threads), but guard
-        // anyway.
-        let me = std::thread::current().id();
-        loop {
-            let batch: Vec<_> =
-                std::mem::take(&mut *self.shared.threads.lock().expect("threads lock"));
-            if batch.is_empty() {
-                break;
-            }
-            for handle in batch {
-                if handle.thread().id() != me {
-                    let _ = handle.join();
-                }
-            }
-            for (_, sock) in self.shared.socks.lock().expect("socks lock").drain() {
-                let _ = sock.shutdown(Shutdown::Both);
-            }
+        let _ = self.cmds.send(Cmd::Stop);
+        self.waker.wake();
+        if let Some(host) = self.host().take() {
+            let _ = host.join();
         }
     }
 
-    /// Residual state after shutdown, for leak regression tests:
-    /// `(live worker threads, registered sockets, dynamic routes)`.
+    /// `(live transport threads, open sockets, return routes)`, for
+    /// leak regression tests.
     pub fn residual_state(&self) -> (u64, usize, usize) {
-        (
-            self.shared.live_threads.load(Ordering::SeqCst),
-            self.shared.socks.lock().expect("socks lock").len(),
-            self.shared.dynamic.lock().expect("dynamic lock").len(),
-        )
+        let (threads, sockets, routes) = self.probe.residual_state();
+        (threads + u64::from(self.host().is_some()), sockets, routes)
+    }
+
+    fn host(&self) -> std::sync::MutexGuard<'_, Option<JoinHandle<()>>> {
+        self.host.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -460,358 +937,24 @@ impl Drop for Transport {
     }
 }
 
-fn enqueue(queue: &SyncSender<FrameBuf>, frame: FrameBuf) -> bool {
-    match queue.try_send(frame) {
-        Ok(()) => true,
-        Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => false,
-    }
-}
-
-/// The fault-free routing step: peer queue or dynamic return route,
-/// counting sent/dropped. Shared by the direct send path and the delay
-/// worker (a delayed frame re-enters here when its deadline passes).
-fn route_frame(
-    peers: &HashMap<NodeId, SyncSender<FrameBuf>>,
-    shared: &Shared,
-    to: NodeId,
-    frame: FrameBuf,
-) {
-    let sent = if let Some(queue) = peers.get(&to) {
-        enqueue(queue, frame)
-    } else {
-        let dynamic = shared.dynamic.lock().expect("dynamic lock");
-        match dynamic.get(&to) {
-            Some(route) => enqueue(&route.queue, frame),
-            None => false,
+fn host_loop(mut endpoint: Endpoint, cmds: Receiver<Cmd>, inbound: Sender<Vec<u8>>) {
+    let mut batch = Vec::new();
+    'run: loop {
+        endpoint.poll(HOST_IDLE, &mut batch);
+        for payload in batch.drain(..) {
+            let _ = inbound.send(payload);
         }
-    };
-    let counter = if sent {
-        &shared.stats.frames_sent
-    } else {
-        &shared.stats.frames_dropped
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A frame held back by the injection shim, due for routing at `due`.
-struct DelayedFrame {
-    due: Instant,
-    to: NodeId,
-    frame: FrameBuf,
-}
-
-/// Heap entry ordering for the delay worker: earliest deadline first,
-/// FIFO within a deadline (the sequence breaks ties).
-struct HeldFrame {
-    seq: u64,
-    inner: DelayedFrame,
-}
-
-impl PartialEq for HeldFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.inner.due == other.inner.due && self.seq == other.seq
-    }
-}
-impl Eq for HeldFrame {}
-impl PartialOrd for HeldFrame {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldFrame {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        (other.inner.due, other.seq).cmp(&(self.inner.due, self.seq))
-    }
-}
-
-/// The delay worker: holds frames until their deadline, then routes them
-/// normally. Frames sent later with no delay overtake held ones — that
-/// reordering is deliberate (it is what jitter does to UDP and to
-/// multi-path networks, and what the simulator's channel models).
-fn delay_loop(
-    rx: Receiver<DelayedFrame>,
-    peers: HashMap<NodeId, SyncSender<FrameBuf>>,
-    shared: Arc<Shared>,
-) {
-    let mut heap: BinaryHeap<HeldFrame> = BinaryHeap::new();
-    let mut seq = 0u64;
-    while shared.is_alive() {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|h| h.inner.due <= now) {
-            let held = heap.pop().expect("peeked");
-            route_frame(&peers, &shared, held.inner.to, held.inner.frame);
-        }
-        let wait = heap
-            .peek()
-            .map(|h| h.inner.due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(100))
-            .min(Duration::from_millis(100));
-        match rx.recv_timeout(wait) {
-            Ok(delayed) => {
-                heap.push(HeldFrame {
-                    seq,
-                    inner: delayed,
-                });
-                seq += 1;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// Persistent dialer: connect (with backoff), greet, then pump the
-/// outbound queue; a reader thread per connection feeds `inbound`.
-fn dialer_loop(
-    greeting: &[u8],
-    addr: SocketAddr,
-    rx: Receiver<FrameBuf>,
-    inbound: Sender<Vec<u8>>,
-    shared: Arc<Shared>,
-) {
-    // Jitter seeded per dialer from wall-clock entropy: decorrelated
-    // across endpoints and peers, so a healed partition's reconnect wave
-    // spreads out instead of arriving in lockstep.
-    let entropy = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let token = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    let mut rng = StdRng::seed_from_u64(entropy ^ ((addr.port() as u64) << 48) ^ token);
-    let mut attempt = 0u32;
-    while shared.is_alive() {
-        let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
-            // Interruptible backoff sleep: check the shutdown flag and
-            // drain queued frames so senders never see a stale full
-            // queue from a long outage. The drained frames are losses
-            // and count as such.
-            let backoff = backoff_delay(attempt, &mut rng);
-            let waited = std::time::Instant::now();
-            while waited.elapsed() < backoff {
-                if !shared.is_alive() {
-                    return;
-                }
-                while rx.try_recv().is_ok() {
-                    shared.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            attempt = attempt.saturating_add(1);
-            continue;
-        };
-        attempt = 0;
-        // Connect can race shutdown: the flag may have flipped while we
-        // were inside connect_timeout. Bail before wiring anything up.
-        if !shared.is_alive() {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        shared.stats.connects.fetch_add(1, Ordering::Relaxed);
-        let _ = stream.set_nodelay(true);
-        let token = shared.register_sock(&stream);
-        // Reader side of this connection (replies from the peer).
-        if let Ok(read_half) = stream.try_clone() {
-            let inbound2 = inbound.clone();
-            let shared2 = Arc::clone(&shared);
-            spawn_worker(&shared, "pbft-read".into(), move || {
-                reader_loop(read_half, inbound2, shared2, None)
-            });
-        }
-        if stream.write_all(greeting).is_ok() {
-            pump_frames(stream, &rx, &shared);
-        }
-        // Connection died; release its fd and loop back to reconnect.
-        shared.deregister_sock(token);
-    }
-}
-
-/// Pumps queued frames onto the socket until the socket, the queue, or
-/// the transport dies. Shuts the socket down on exit so the paired
-/// reader unblocks. Shared by dialed connections and accepted-side
-/// return routes.
-///
-/// Frames that queued up while the previous write was in flight are
-/// coalesced into one `write_all`: under load the per-frame syscall is
-/// what saturates a core, and batches of protocol messages (a
-/// pre-prepare plus the prepares and commits behind it) routinely sit
-/// in the queue together. [`COALESCE_BYTES`] bounds the staging buffer;
-/// anything beyond it just waits for the next write.
-fn pump_frames(mut stream: TcpStream, rx: &Receiver<FrameBuf>, shared: &Shared) {
-    const COALESCE_BYTES: usize = 60 * 1024;
-    let mut buf: Vec<u8> = Vec::with_capacity(COALESCE_BYTES);
-    loop {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(frame) => {
-                buf.clear();
-                buf.extend_from_slice(&frame);
-                while buf.len() < COALESCE_BYTES {
-                    match rx.try_recv() {
-                        Ok(next) => buf.extend_from_slice(&next),
-                        Err(_) => break,
-                    }
-                }
-                if stream.write_all(&buf).is_err() {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if !shared.is_alive() {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Accept loop: non-blocking accept so shutdown can stop it.
-fn accept_loop(listener: TcpListener, inbound: Sender<Vec<u8>>, shared: Arc<Shared>) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    while shared.is_alive() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.stats.accepts.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(false);
-                let inbound2 = inbound.clone();
-                let shared2 = Arc::clone(&shared);
-                spawn_worker(&shared, "pbft-accepted".into(), move || {
-                    accepted_conn(stream, inbound2, shared2)
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => {
-                // Transient accept failures (EMFILE, ECONNABORTED, ...)
-                // must not kill the accept thread for the life of the
-                // process — back off briefly and keep accepting.
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// An accepted connection: read the greeting, register a return route,
-/// then forward payloads. The route is deregistered when the connection
-/// dies (unless a newer connection already replaced it).
-fn accepted_conn(stream: TcpStream, inbound: Sender<Vec<u8>>, shared: Arc<Shared>) {
-    let conn_id = shared.register_sock(&stream);
-    let mut registered: Vec<NodeId> = Vec::new();
-    // Writer half: a bounded queue drained onto this socket, installed
-    // as the return route once the greeting names the peer.
-    let (tx, rx) = mpsc::sync_channel::<FrameBuf>(OUTBOUND_QUEUE);
-    if let Ok(write_half) = stream.try_clone() {
-        let shared2 = Arc::clone(&shared);
-        spawn_worker(&shared, "pbft-return-writer".into(), move || {
-            pump_frames(write_half, &rx, &shared2)
-        });
-    }
-    reader_loop(
-        stream,
-        inbound,
-        Arc::clone(&shared),
-        Some(GreetingHook {
-            conn_id,
-            queue: tx,
-            registered: &mut registered,
-        }),
-    );
-    let mut dynamic = shared.dynamic.lock().expect("dynamic lock");
-    for peer in registered {
-        if dynamic.get(&peer).map(|r| r.conn_id) == Some(conn_id) {
-            dynamic.remove(&peer);
-        }
-    }
-    drop(dynamic);
-    shared.deregister_sock(conn_id);
-}
-
-/// Greeting handling for accepted connections: the first payload names
-/// the dialer's identity (or identities — a multiplexed client greets
-/// as every logical client it drives) and installs the return routes.
-struct GreetingHook<'a> {
-    conn_id: u64,
-    queue: SyncSender<FrameBuf>,
-    registered: &'a mut Vec<NodeId>,
-}
-
-/// Reads frames off a socket until it dies. With a [`GreetingHook`], the
-/// first payload is consumed as a [`NodeId`] greeting; every subsequent
-/// payload goes to `inbound`.
-fn reader_loop(
-    mut stream: TcpStream,
-    inbound: Sender<Vec<u8>>,
-    shared: Arc<Shared>,
-    mut hook: Option<GreetingHook<'_>>,
-) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    'conn: loop {
-        if !shared.is_alive() {
-            break;
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        decoder.extend(&buf[..n]);
         loop {
-            match decoder.next_payload() {
-                Ok(Some(payload)) => {
-                    if let Some(h) = hook.take() {
-                        // Greeting frame: identify the dialer.
-                        let mut slice = payload.as_slice();
-                        match <Vec<NodeId> as bft_types::wire::Wire>::decode(&mut slice) {
-                            Ok(ids) if slice.is_empty() && !ids.is_empty() => {
-                                let mut dynamic = shared.dynamic.lock().expect("dynamic lock");
-                                // Checked under the lock: either this
-                                // insert happens before shutdown's clear
-                                // (which then removes it), or the flag is
-                                // already visible and we drop the
-                                // connection instead of re-registering a
-                                // route after `stop()`.
-                                if !shared.is_alive() {
-                                    break 'conn;
-                                }
-                                for &peer in &ids {
-                                    dynamic.insert(
-                                        peer,
-                                        DynRoute {
-                                            conn_id: h.conn_id,
-                                            queue: h.queue.clone(),
-                                        },
-                                    );
-                                }
-                                *h.registered = ids;
-                            }
-                            _ => {
-                                shared.stats.framing_errors.fetch_add(1, Ordering::Relaxed);
-                                break 'conn;
-                            }
-                        }
-                        continue;
-                    }
-                    shared.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                    if inbound.send(payload).is_err() {
-                        break 'conn; // Node loop gone.
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Corruption: a length-prefixed stream cannot resync;
-                    // drop the connection and let the dialer reconnect.
-                    shared.stats.framing_errors.fetch_add(1, Ordering::Relaxed);
-                    break 'conn;
-                }
+            match cmds.try_recv() {
+                Ok(Cmd::Send(to, frame)) => endpoint.send(to, &frame),
+                Ok(Cmd::Sync(ack)) => drop(ack.send(())),
+                Ok(Cmd::Stop) | Err(TryRecvError::Disconnected) => break 'run,
+                Err(TryRecvError::Empty) => break,
             }
         }
+        endpoint.flush();
     }
-    let _ = stream.shutdown(Shutdown::Both);
+    endpoint.shutdown();
 }
 
 #[cfg(test)]
@@ -837,7 +980,7 @@ mod tests {
 
         // Payloads are arbitrary bytes at the transport layer.
         let hello = Arc::new(frame_bytes(&42u64));
-        // Queue before/while the dialer connects: the queue buffers.
+        // Queue before/while the dialer connects: the backlog buffers.
         t0.send(r1, Arc::clone(&hello));
         let got = recv_payload(&rx1);
         let mut slice = got.as_slice();
@@ -896,7 +1039,7 @@ mod tests {
         let addr = l.local_addr().unwrap();
         let server = NodeId::Replica(ReplicaId(0));
         let client = NodeId::Client(ClientId(5));
-        // A dead peer address keeps one dialer mid-backoff/reconnect for
+        // A dead peer address keeps the dialer mid-backoff/reconnect for
         // the whole test — the thread most likely to race `stop()`.
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let dead_addr = probe.local_addr().unwrap();

@@ -185,11 +185,15 @@ fn pooled_and_direct_replicas_commit_identical_journals() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "mixed cluster failed to converge: {:?}",
+            "mixed cluster failed to converge:\n{}",
             snaps
                 .iter()
-                .map(|s| (s.id.0, s.committed_frontier))
+                .map(|s| format!(
+                    "  r{}: view={} view_active={} committed_frontier={} exec_blocker={}",
+                    s.id.0, s.view, s.view_active, s.committed_frontier.0, s.exec_blocker
+                ))
                 .collect::<Vec<_>>()
+                .join("\n")
         );
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -388,4 +392,82 @@ fn forced_client_retransmission_preserves_exactly_once() {
         "executed {max_executed} < {expected_writes}"
     );
     cluster.shutdown();
+}
+
+/// `pbft-*` threads serving the node that listens on `port` (its
+/// threads are named `pbft-<port>-<role>`), or `None` off Linux.
+fn node_threads(port: u16) -> Option<usize> {
+    let prefix = format!("pbft-{port}-");
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with(&prefix))
+            .count(),
+    )
+}
+
+/// The transport's footprint on a live 4-replica cluster with the direct
+/// data plane: at most two threads per replica (the event loop and its
+/// dialer), frame counters that count frames rather than socket writes,
+/// exactly one connect per topology peer in a clean run, and nothing
+/// left behind once the nodes are killed.
+#[test]
+fn replicas_use_two_threads_and_count_frames_not_writes() {
+    let listeners: Vec<std::net::TcpListener> = (0..4)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+        .collect();
+    let mut topo = Topology::localhost(1, 3, 1);
+    topo.set_replicas(
+        listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr"))
+            .collect(),
+    );
+    topo.workers = 0;
+    let mut nodes: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| spawn_counter_replica(ReplicaId(i as u32), topo.clone(), listener))
+        .collect();
+
+    let workload = Workload::closed(60);
+    let ids: Vec<ClientId> = (0..3).map(ClientId).collect();
+    let outcomes = run_workers(&ids, |c| run_client(c, &topo, &workload, DEADLINE));
+    for (c, outcome) in outcomes {
+        let report = outcome.unwrap_or_else(|why| panic!("client {} died: {why}", c.0));
+        assert_eq!(report.completed, 60, "client {} fell short", c.0);
+        assert_counter_sequence(&workload, &report.results);
+    }
+
+    for addr in &topo.replicas {
+        if let Some(threads) = node_threads(addr.port()) {
+            assert!(
+                (1..=2).contains(&threads),
+                "replica on port {} runs {threads} threads",
+                addr.port()
+            );
+        }
+    }
+    for node in &nodes {
+        let snap = node.snapshot().expect("replica alive");
+        let t = snap.transport;
+        assert_eq!(t.connects, 3, "r{}: one connect per peer: {t:?}", snap.id.0);
+        assert_eq!(t.framing_errors, 0, "r{}: {t:?}", snap.id.0);
+        // Every executed request sent one reply, and every executed batch
+        // was prepared here, which multicasts a commit to three peers.
+        // (A reply whose client already left counts as dropped.)
+        let floor = snap.stats.requests_executed + 3 * snap.stats.batches_executed;
+        assert!(
+            t.frames_sent + t.frames_dropped >= floor,
+            "r{}: {} frames < {floor}: {t:?}",
+            snap.id.0,
+            t.frames_sent + t.frames_dropped
+        );
+        assert!(t.writes <= t.frames_sent, "r{}: {t:?}", snap.id.0);
+    }
+    for node in &mut nodes {
+        node.kill();
+        assert_eq!(node.residual_state(), (0, 0, 0), "r{} leaked", node.id.0);
+    }
 }
