@@ -8,9 +8,7 @@
 
 use crate::config::AuthMode;
 use bft_crypto::{Authenticator, KeyPair, KeyTable, PublicKey, SessionKey};
-use bft_types::{
-    shard_seed, Auth, AuthContent, ClientId, GroupParams, NodeId, ReplicaId, Requester, ShardId,
-};
+use bft_types::{Auth, AuthContent, ClientId, GroupParams, NodeId, ReplicaId, Requester};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -23,11 +21,6 @@ pub struct ClusterKeys {
     pub keypairs: Vec<KeyPair>,
     /// The shared public-key directory.
     pub directory: Arc<Vec<PublicKey>>,
-    /// Domain separator mixed into bootstrap session-key derivation. Zero
-    /// for an unsharded cluster (the historical key schedule); per-shard
-    /// values keep MAC keys disjoint across shards whose node index spaces
-    /// coincide.
-    pub mac_domain: u64,
 }
 
 impl ClusterKeys {
@@ -43,31 +36,6 @@ impl ClusterKeys {
         ClusterKeys {
             keypairs,
             directory,
-            mac_domain: 0,
-        }
-    }
-
-    /// Per-shard key generation: each shard's group derives its key material
-    /// from a shard-specific seed, so principals in different shards never
-    /// share keys even though both shards number replicas from `r0`.
-    ///
-    /// Shard 0 is bit-identical to [`ClusterKeys::generate`] with the same
-    /// cluster seed: a single-shard deployment keeps its exact pre-sharding
-    /// key material (and therefore its golden fingerprints).
-    pub fn generate_sharded(
-        group: GroupParams,
-        clients: u32,
-        bits: usize,
-        cluster_seed: u64,
-        shard: ShardId,
-    ) -> Self {
-        let derived = shard_seed(cluster_seed, shard);
-        ClusterKeys {
-            // The MAC domain is the seed *delta*, not the seed itself: zero
-            // for shard 0 (preserving the historical session-key schedule)
-            // and unique per shard otherwise.
-            mac_domain: derived ^ cluster_seed,
-            ..Self::generate(group, clients, bits, derived)
         }
     }
 }
@@ -125,7 +93,7 @@ impl AuthState {
             mode,
             self_node,
             group,
-            keys: KeyTable::bootstrap_domain(idx, total, keys.mac_domain),
+            keys: KeyTable::bootstrap(idx, total),
             keypair: keys.keypairs[idx].clone(),
             directory: Arc::clone(&keys.directory),
             defer_multicast: false,
@@ -329,37 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_zero_keys_match_unsharded() {
-        // The single-shard deployment must keep its exact pre-sharding key
-        // material (golden fingerprints depend on it).
-        let group = GroupParams::for_f(1);
-        let plain = ClusterKeys::generate(group, 2, 128, 42);
-        let sharded = ClusterKeys::generate_sharded(group, 2, 128, 42, ShardId(0));
-        for (a, b) in plain.directory.iter().zip(sharded.directory.iter()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn cross_shard_macs_do_not_verify() {
-        // Shards number their replicas from r0, so identity alone cannot
-        // separate them — key material must. A MAC minted by (shard 0, r1)
-        // must be rejected by every replica of shard 1.
-        let group = GroupParams::for_f(1);
-        let keys0 = ClusterKeys::generate_sharded(group, 2, 128, 42, ShardId(0));
-        let keys1 = ClusterKeys::generate_sharded(group, 2, 128, 42, ShardId(1));
-        let mut sender = AuthState::new(AuthMode::Macs, replica_node(1), group, 2, &keys0);
-        let auth = sender.authenticate_multicast(b"pre-prepare");
-        for r in 0..4 {
-            let foreign = AuthState::new(AuthMode::Macs, replica_node(r), group, 2, &keys1);
-            assert!(
-                !foreign.verify(replica_node(1), b"pre-prepare", &auth),
-                "shard 1 replica {r} accepted a shard 0 MAC"
-            );
-        }
-    }
-
-    #[test]
     fn signature_mode_roundtrip() {
         let mut sender = auth_state(AuthMode::Signatures, replica_node(1));
         let auth = sender.authenticate_multicast(b"view-change");
@@ -388,7 +325,6 @@ mod tests {
         let keys2 = ClusterKeys {
             keypairs: keys.keypairs.clone(),
             directory: Arc::new(dir),
-            mac_domain: 0,
         };
         let receiver = AuthState::new(AuthMode::Macs, replica_node(0), group, 2, &keys2);
         let cs = coproc.sign(&bft_crypto::digest(b"new-key"));

@@ -1,6 +1,6 @@
 //! Replica and client configuration.
 
-use bft_types::{GroupParams, ShardId, SimDuration};
+use bft_types::{GroupParams, SimDuration};
 
 /// Which authentication scheme the protocol uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,11 +88,6 @@ impl Default for RecoveryConfig {
 pub struct ReplicaConfig {
     /// Group size parameters (`n`, `f`).
     pub group: GroupParams,
-    /// Which shard (replication group) this replica belongs to. Shard 0 is
-    /// the default and matches the pre-sharding single-group deployment;
-    /// the shard selects the group's key-derivation seed so node identities
-    /// never collide across shards.
-    pub shard: ShardId,
     /// Number of client principals the key tables provision for.
     pub num_clients: u32,
     /// Authentication scheme.
@@ -150,7 +145,6 @@ impl ReplicaConfig {
     pub fn small(f: usize) -> Self {
         ReplicaConfig {
             group: GroupParams::for_f(f),
-            shard: ShardId(0),
             num_clients: 16,
             auth: AuthMode::Macs,
             opts: Optimizations::all(),

@@ -93,18 +93,8 @@ impl KeyTable {
     /// communicate before the first new-key exchange, as in the thesis's
     /// startup ("the same mechanism is used to establish the initial keys").
     pub fn bootstrap(self_id: usize, peers: usize) -> Self {
-        Self::bootstrap_domain(self_id, peers, 0)
-    }
-
-    /// Like [`KeyTable::bootstrap`], but mixes a `domain` separator into
-    /// every derived key. Two clusters bootstrapped with different domains
-    /// share no session keys even when their node index spaces coincide
-    /// (e.g. independent shards that both number replicas from 0). Domain 0
-    /// reproduces [`KeyTable::bootstrap`] exactly.
-    pub fn bootstrap_domain(self_id: usize, peers: usize, domain: u64) -> Self {
-        let derive = |from: usize, to: usize| {
-            SessionKey::from_seed((((from as u64) << 32) | to as u64) ^ domain)
-        };
+        let derive =
+            |from: usize, to: usize| SessionKey::from_seed(((from as u64) << 32) | to as u64);
         KeyTable {
             out: (0..peers).map(|j| (derive(self_id, j), 0)).collect(),
             incoming: (0..peers).map(|j| (derive(j, self_id), 0)).collect(),

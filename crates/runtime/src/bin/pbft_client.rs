@@ -2,7 +2,7 @@
 //! cluster.
 //!
 //! Usage:
-//!   pbft-client --config cluster.conf [--shard K] [--clients N] [--first-id C]
+//!   pbft-client --config cluster.conf [--clients N] [--first-id C]
 //!               [--ops K] [--op-bytes B] [--read-every M]
 //!               [--think-ms T | --rate OPS_PER_SEC]
 //!               [--retransmit-ms MS] [--deadline-secs S]
@@ -10,10 +10,7 @@
 //! Each client worker runs one `ClientProxy` in a closed loop (default)
 //! or paced open loop (`--rate`, per client), issuing the benchmark mix:
 //! padded counter increments with every `--read-every`-th operation a
-//! read-only `GET`. With a sharded config, `--shard K` routes every
-//! client at group `k` (single-shard routing: the workload pays nothing
-//! for the shards it never touches). Prints per-client lines and an
-//! aggregate summary.
+//! read-only `GET`. Prints per-client lines and an aggregate summary.
 //!
 //! With `service = bfs` in the topology, the counter mix is replaced by
 //! the Andrew benchmark script (§8.6): `--clients N` logical clients on
@@ -26,12 +23,12 @@ use bfs::{generate_script, AndrewConfig};
 use bft_runtime::bfs_driver::run_andrew_mux;
 use bft_runtime::client::{run_client, run_workers, ClientReport, LoadMode, Workload};
 use bft_runtime::config::{ServiceKind, Topology};
-use bft_types::{ClientId, ShardId};
+use bft_types::ClientId;
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pbft-client --config FILE [--shard K] [--clients N] [--first-id C] [--ops K] \
+        "usage: pbft-client --config FILE [--clients N] [--first-id C] [--ops K] \
          [--op-bytes B] [--read-every M] [--think-ms T | --rate R] \
          [--retransmit-ms MS] [--deadline-secs S] [--andrew-scale K] [--no-fast-path]"
     );
@@ -91,7 +88,6 @@ fn run_andrew(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config_path: Option<String> = None;
-    let mut shard: u32 = 0;
     let mut clients: u32 = 1;
     let mut first_id: u32 = 0;
     let mut ops: u64 = 100;
@@ -111,10 +107,6 @@ fn main() {
         };
         match a.as_str() {
             "--config" => config_path = it.next().cloned(),
-            "--shard" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => shard = v,
-                None => usage(),
-            },
             "--clients" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => clients = v,
                 None => usage(),
@@ -152,14 +144,6 @@ fn main() {
         eprintln!("pbft-client: bad config {config_path}: {e}");
         std::process::exit(1);
     });
-    if shard >= topo.num_shards() {
-        eprintln!(
-            "pbft-client: shard {shard} out of range (topology has {} shard(s))",
-            topo.num_shards()
-        );
-        std::process::exit(1);
-    }
-    let topo = topo.project(ShardId(shard));
     let deadline = Duration::from_secs(deadline_secs);
     let ids: Vec<ClientId> = (first_id..first_id + clients).map(ClientId).collect();
 
@@ -184,7 +168,7 @@ fn main() {
     };
 
     println!(
-        "pbft-client: {clients} client(s) x {ops} ops ({:?}), shard {shard}, {} replicas",
+        "pbft-client: {clients} client(s) x {ops} ops ({:?}), {} replicas",
         workload.mode,
         topo.replicas.len()
     );

@@ -1,16 +1,14 @@
 //! `pbft-node`: one PBFT replica over real TCP.
 //!
 //! Usage:
-//!   pbft-node --config cluster.conf --id 0 [--shard K] [--status-every SECS]
+//!   pbft-node --config cluster.conf --id 0 [--status-every SECS]
 //!             [--journal-file PATH]
 //!   pbft-node --example-config [F]        # print a starter config
 //!
 //! The replica listens on its topology address, dials its peers (with
 //! reconnect backoff), and serves the topology's `service` (the counter
-//! benchmark service by default, BFS with `service = bfs`). With a sharded
-//! config (`shard.<k>.replica.<n>` sections) `--shard K` selects which
-//! group this replica belongs to; `--id` is the replica index within
-//! that group. `--status-every` prints a one-line state summary
+//! benchmark service by default, BFS with `service = bfs`).
+//! `--status-every` prints a one-line state summary
 //! periodically; `--journal-file` additionally dumps the committed
 //! journal to PATH (atomic rename) on each status tick, so an external
 //! harness can compare journals across replicas it can't poke in
@@ -18,13 +16,13 @@
 
 use bft_runtime::config::Topology;
 use bft_runtime::node::spawn_service_replica;
-use bft_types::{ReplicaId, ShardId};
+use bft_types::ReplicaId;
 use std::net::TcpListener;
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pbft-node --config FILE --id N [--shard K] [--status-every SECS] [--journal-file PATH]\n       pbft-node --example-config [F]"
+        "usage: pbft-node --config FILE --id N [--status-every SECS] [--journal-file PATH]\n       pbft-node --example-config [F]"
     );
     std::process::exit(2);
 }
@@ -60,7 +58,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config_path: Option<String> = None;
     let mut id: Option<u32> = None;
-    let mut shard: u32 = 0;
     let mut status_every: Option<u64> = None;
     let mut journal_file: Option<String> = None;
     let mut example: Option<usize> = None;
@@ -69,12 +66,6 @@ fn main() {
         match a.as_str() {
             "--config" => config_path = it.next().cloned(),
             "--id" => id = it.next().and_then(|v| v.parse().ok()),
-            "--shard" => {
-                shard = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             "--status-every" => status_every = it.next().and_then(|v| v.parse().ok()),
             "--journal-file" => journal_file = it.next().cloned(),
             "--example-config" => {
@@ -98,14 +89,6 @@ fn main() {
         eprintln!("pbft-node: bad config {config_path}: {e}");
         std::process::exit(1);
     });
-    if shard >= topo.num_shards() {
-        eprintln!(
-            "pbft-node: shard {shard} out of range (topology has {} shard(s))",
-            topo.num_shards()
-        );
-        std::process::exit(1);
-    }
-    let topo = topo.project(ShardId(shard));
     let Some(addr) = topo.replicas.get(id as usize).copied() else {
         eprintln!(
             "pbft-node: id {id} out of range (topology has {} replicas)",
@@ -118,7 +101,7 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "pbft-node: shard {shard} replica {id} of n={} (f={}) serving `{}` listening on {addr}",
+        "pbft-node: replica {id} of n={} (f={}) serving `{}` listening on {addr}",
         topo.replicas.len(),
         topo.f,
         topo.service

@@ -19,38 +19,21 @@
 //! replica.3 = 127.0.0.1:5103
 //! ```
 //!
-//! A sharded deployment adds `shard.<k>.replica.<n>` sections for the
-//! extra groups (plain `replica.<n>` keys are shard 0, so every
-//! single-shard file from before sharding parses unchanged):
-//!
-//! ```text
-//! f = 1
-//! replica.0 = 127.0.0.1:5100        # shard 0
-//! # ...
-//! shard.1.replica.0 = 127.0.0.1:5200
-//! shard.1.replica.1 = 127.0.0.1:5201
-//! # ...
-//! ```
-//!
 //! Durability is opt-in: `storage = wal` plus `data_dir = <path>` makes
 //! every node persist the §4.3 durable set to an on-disk write-ahead log
 //! under `<data_dir>/replica-<id>/`, and recover from it on boot. The
 //! default `storage = mem` keeps the pre-storage behavior (nothing
 //! touches disk, a node reboot loses volatile state only).
 //!
-//! Every group needs its full `3f + 1` addresses; duplicate replica ids
-//! and duplicate listen addresses are rejected with the offending line.
-//! Parse failures come back as a typed [`ConfigError`] carrying the
-//! line, the key, and a [`ConfigErrorKind`]; its `Display` renders the
-//! same human-readable messages `pbft-node` has always printed.
-//! [`Topology::project`] narrows a parsed deployment to one shard so the
-//! node and client runtimes stay single-group; per-shard key material
-//! derives from `key_seed` through the shard id
-//! ([`bft_core::ClusterKeys::generate_sharded`]), so MACs never verify
-//! across groups.
+//! A deployment is one group that needs its full `3f + 1` addresses;
+//! duplicate replica ids and duplicate listen addresses are rejected
+//! with the offending line. Parse failures come back as a typed
+//! [`ConfigError`] carrying the line, the key, and a [`ConfigErrorKind`];
+//! its `Display` renders the same human-readable messages `pbft-node`
+//! has always printed.
 
 use bft_core::{ClientConfig, ClusterKeys, ReplicaConfig};
-use bft_types::{GroupParams, ShardId, ShardMap, SimDuration};
+use bft_types::{GroupParams, SimDuration};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
@@ -113,12 +96,6 @@ impl std::fmt::Display for StorageKind {
 pub enum ConfigErrorKind {
     /// A non-comment line without a `key = value` shape.
     ExpectedKeyValue,
-    /// `shard.` prefix without a `.`-separated remainder.
-    BadShardKey,
-    /// `shard.<k>` where `<k>` is not a `u32`.
-    BadShardIndex,
-    /// `shard.<k>.<something>` where `<something>` is not `replica.<n>`.
-    UnknownShardKey,
     /// `replica.<n>` where `<n>` is not a `usize`.
     BadReplicaIndex,
     /// A replica value that does not parse as a socket address.
@@ -126,12 +103,12 @@ pub enum ConfigErrorKind {
         /// The rejected value.
         value: String,
     },
-    /// The same `(shard, replica)` id defined twice.
+    /// The same replica id defined twice.
     DuplicateReplicaId {
         /// Line the id was first defined on.
         first_line: usize,
     },
-    /// The same listen address given to two nodes (any shard).
+    /// The same listen address given to two nodes.
     DuplicateAddress {
         /// The repeated address.
         addr: SocketAddr,
@@ -162,10 +139,8 @@ pub enum ConfigErrorKind {
     MissingF,
     /// `storage = wal` with no `data_dir` to put the log in.
     WalWithoutDataDir,
-    /// A shard without its full contiguous `3f + 1` address set.
-    IncompleteShard {
-        /// The shard missing addresses.
-        shard: u32,
+    /// The group without its full contiguous `3f + 1` address set.
+    IncompleteGroup {
         /// Required group size (`3f + 1`).
         n: usize,
         /// The replica indices actually present, sorted.
@@ -180,7 +155,7 @@ pub enum ConfigErrorKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
     /// 1-based line the error was detected on; `None` for whole-file
-    /// problems (missing `f`, incomplete shards).
+    /// problems (missing `f`, an incomplete group).
     pub line: Option<usize>,
     /// The config key involved, when one exists.
     pub key: Option<String>,
@@ -214,14 +189,6 @@ impl std::fmt::Display for ConfigError {
         let key = self.key.as_deref().unwrap_or("");
         match &self.kind {
             ConfigErrorKind::ExpectedKeyValue => write!(f, "expected `key = value`"),
-            ConfigErrorKind::BadShardKey => write!(f, "bad shard key `{key}`"),
-            ConfigErrorKind::BadShardIndex => write!(f, "bad shard index `{key}`"),
-            ConfigErrorKind::UnknownShardKey => {
-                write!(
-                    f,
-                    "unknown shard key `{key}` (expected shard.<k>.replica.<n>)"
-                )
-            }
             ConfigErrorKind::BadReplicaIndex => write!(f, "bad replica index `{key}`"),
             ConfigErrorKind::BadAddress { value } => write!(f, "bad address `{value}`"),
             ConfigErrorKind::DuplicateReplicaId { first_line } => {
@@ -251,35 +218,26 @@ impl std::fmt::Display for ConfigError {
             ConfigErrorKind::WalWithoutDataDir => {
                 write!(f, "storage = wal requires `data_dir`")
             }
-            ConfigErrorKind::IncompleteShard { shard, n, indices } => {
-                let what = if *shard == 0 {
-                    "replica".to_string()
-                } else {
-                    format!("shard.{shard}.replica")
-                };
-                write!(
-                    f,
-                    "shard {shard}: need {what}.0 .. {what}.{} (3f+1 = {n} addresses), \
-                     got indices {indices:?}",
-                    n - 1
-                )
-            }
+            ConfigErrorKind::IncompleteGroup { n, indices } => write!(
+                f,
+                "need replica.0 .. replica.{} (3f+1 = {n} addresses), got indices {indices:?}",
+                n - 1
+            ),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// A parsed cluster topology: the whole deployment plus the shard this
-/// view describes ([`Topology::parse`] yields the shard-0 view;
-/// [`Topology::project`] selects another).
+/// A parsed cluster topology: one PBFT group of `3f + 1` replicas and
+/// the settings every node and client shares.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Topology {
-    /// Fault threshold; every group needs `3f + 1` replica addresses.
+    /// Fault threshold; the group needs `3f + 1` replica addresses.
     pub f: usize,
     /// Number of client principals provisioned in the key tables.
     pub clients: u32,
-    /// Seed all nodes derive shared key material from (via the shard id).
+    /// Seed all nodes derive shared key material from.
     pub key_seed: u64,
     /// Base view-change timeout in milliseconds.
     pub view_change_ms: u64,
@@ -306,42 +264,23 @@ pub struct Topology {
     /// Directory the `wal` engine keeps per-replica state under
     /// (required when `storage = wal`, ignored otherwise).
     pub data_dir: Option<String>,
-    /// The shard this topology view describes (key derivation, routing).
-    pub shard: ShardId,
-    /// Listen addresses of this shard's replicas, indexed by replica id.
-    /// Mutate through [`Topology::set_replicas`] to keep `all_shards` in
-    /// sync.
+    /// Listen addresses of the replicas, indexed by replica id.
     pub replicas: Vec<SocketAddr>,
-    /// Listen addresses of every shard in the deployment (index = shard
-    /// id); `all_shards[shard.0]` always equals `replicas`.
-    pub all_shards: Vec<Vec<SocketAddr>>,
 }
 
 impl Topology {
     /// A localhost topology for `3f + 1` replicas on consecutive ports.
     pub fn localhost(f: usize, clients: u32, base_port: u16) -> Self {
-        Self::localhost_sharded(f, clients, base_port, 1)
-    }
-
-    /// A localhost deployment of `shards` groups of `3f + 1` replicas;
-    /// shard `k` replica `i` listens on `base_port + k*n + i`. The
-    /// returned view is shard 0 (see [`Topology::project`]).
-    pub fn localhost_sharded(f: usize, clients: u32, base_port: u16, shards: u32) -> Self {
-        let n = 3 * f + 1;
-        let all_shards: Vec<Vec<SocketAddr>> = (0..shards)
-            .map(|k| {
-                (0..n)
-                    .map(|i| {
-                        // Built directly rather than parsed from a string:
-                        // this constructor must be infallible (ports are u16
-                        // by construction), and a panic here once masked real
-                        // malformed-address reporting in `parse`.
-                        SocketAddr::new(
-                            std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                            base_port.wrapping_add((k as usize * n + i) as u16),
-                        )
-                    })
-                    .collect()
+        let replicas = (0..3 * f + 1)
+            .map(|i| {
+                // Built directly rather than parsed from a string: this
+                // constructor must be infallible (ports are u16 by
+                // construction), and a panic here once masked real
+                // malformed-address reporting in `parse`.
+                SocketAddr::new(
+                    std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
+                    base_port.wrapping_add(i as u16),
+                )
             })
             .collect();
         Topology {
@@ -358,50 +297,17 @@ impl Topology {
             tentative_execution: true,
             storage: StorageKind::Mem,
             data_dir: None,
-            shard: ShardId(0),
-            replicas: all_shards[0].clone(),
-            all_shards,
+            replicas,
         }
     }
 
-    /// Narrows this deployment to one shard: the returned topology has
-    /// that shard's addresses in `replicas` and derives that shard's key
-    /// material, while keeping the full deployment in `all_shards` for
-    /// client-side routing. Shard 0's projection is the parse result
-    /// itself.
-    pub fn project(&self, shard: ShardId) -> Self {
-        assert!(
-            (shard.0 as usize) < self.all_shards.len(),
-            "shard {shard} out of range ({} shards)",
-            self.all_shards.len()
-        );
-        Topology {
-            shard,
-            replicas: self.all_shards[shard.0 as usize].clone(),
-            ..self.clone()
-        }
-    }
-
-    /// Number of shards in the deployment.
-    pub fn num_shards(&self) -> u32 {
-        self.all_shards.len() as u32
-    }
-
-    /// The uniform keyspace partition clients route by.
-    pub fn shard_map(&self) -> ShardMap {
-        ShardMap::uniform(self.num_shards())
-    }
-
-    /// Replaces this shard's listen addresses, keeping the deployment
-    /// view in sync (loopback harnesses bind ephemeral ports after the
-    /// fact).
+    /// Replaces the replicas' listen addresses (loopback harnesses bind
+    /// ephemeral ports after the fact).
     pub fn set_replicas(&mut self, replicas: Vec<SocketAddr>) {
-        self.all_shards[self.shard.0 as usize] = replicas.clone();
         self.replicas = replicas;
     }
 
     /// Parses the config file format documented at the module level.
-    /// Returns the shard-0 view of the deployment.
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         let mut topo = Topology {
             f: 0,
@@ -417,14 +323,11 @@ impl Topology {
             tentative_execution: true,
             storage: StorageKind::Mem,
             data_dir: None,
-            shard: ShardId(0),
             replicas: Vec::new(),
-            all_shards: Vec::new(),
         };
-        // (shard, replica id) -> (address, 1-based line) for every
-        // `replica.<n>` / `shard.<k>.replica.<n>` line seen.
-        let mut replicas: Vec<(u32, usize, SocketAddr, usize)> = Vec::new();
-        let mut seen_ids: HashMap<(u32, usize), usize> = HashMap::new();
+        // (replica id, address) for every `replica.<n>` line seen.
+        let mut replicas: Vec<(usize, SocketAddr)> = Vec::new();
+        let mut seen_ids: HashMap<usize, usize> = HashMap::new();
         let mut seen_addrs: HashMap<SocketAddr, usize> = HashMap::new();
         for (lineno, raw) in text.lines().enumerate() {
             let lineno = lineno + 1;
@@ -445,26 +348,7 @@ impl Topology {
                     ConfigError::at(lineno, what, ConfigErrorKind::BadValue { value: v.into() })
                 })
             };
-            // `replica.<n>` is shorthand for `shard.0.replica.<n>`.
-            let replica_key = if let Some(rest) = key.strip_prefix("shard.") {
-                let Some((shard, sub)) = rest.split_once('.') else {
-                    return Err(ConfigError::at(lineno, key, ConfigErrorKind::BadShardKey));
-                };
-                let shard: u32 = shard
-                    .parse()
-                    .map_err(|_| ConfigError::at(lineno, key, ConfigErrorKind::BadShardIndex))?;
-                let Some(idx) = sub.strip_prefix("replica.") else {
-                    return Err(ConfigError::at(
-                        lineno,
-                        key,
-                        ConfigErrorKind::UnknownShardKey,
-                    ));
-                };
-                Some((shard, idx))
-            } else {
-                key.strip_prefix("replica.").map(|idx| (0, idx))
-            };
-            if let Some((shard, idx)) = replica_key {
+            if let Some(idx) = key.strip_prefix("replica.") {
                 let idx: usize = idx
                     .parse()
                     .map_err(|_| ConfigError::at(lineno, key, ConfigErrorKind::BadReplicaIndex))?;
@@ -477,7 +361,7 @@ impl Topology {
                         },
                     )
                 })?;
-                if let Some(first) = seen_ids.insert((shard, idx), lineno) {
+                if let Some(first) = seen_ids.insert(idx, lineno) {
                     return Err(ConfigError::at(
                         lineno,
                         key,
@@ -494,7 +378,7 @@ impl Topology {
                         },
                     ));
                 }
-                replicas.push((shard, idx, addr, lineno));
+                replicas.push((idx, addr));
                 continue;
             }
             match key {
@@ -594,35 +478,15 @@ impl Topology {
             ));
         }
         let n = 3 * topo.f + 1;
-        let num_shards = replicas.iter().map(|&(k, ..)| k + 1).max().unwrap_or(1);
-        replicas.sort_by_key(|&(k, i, ..)| (k, i));
-        for k in 0..num_shards {
-            let indices: Vec<usize> = replicas
-                .iter()
-                .filter(|&&(s, ..)| s == k)
-                .map(|&(_, i, ..)| i)
-                .collect();
-            if indices != (0..n).collect::<Vec<_>>() {
-                return Err(ConfigError::whole_file(
-                    None,
-                    ConfigErrorKind::IncompleteShard {
-                        shard: k,
-                        n,
-                        indices,
-                    },
-                ));
-            }
+        replicas.sort_by_key(|&(i, _)| i);
+        let indices: Vec<usize> = replicas.iter().map(|&(i, _)| i).collect();
+        if indices != (0..n).collect::<Vec<_>>() {
+            return Err(ConfigError::whole_file(
+                None,
+                ConfigErrorKind::IncompleteGroup { n, indices },
+            ));
         }
-        topo.all_shards = (0..num_shards)
-            .map(|k| {
-                replicas
-                    .iter()
-                    .filter(|&&(s, ..)| s == k)
-                    .map(|&(_, _, a, _)| a)
-                    .collect()
-            })
-            .collect();
-        topo.replicas = topo.all_shards[0].clone();
+        topo.replicas = replicas.into_iter().map(|(_, a)| a).collect();
         Ok(topo)
     }
 
@@ -650,14 +514,8 @@ impl Topology {
         if let Some(dir) = &self.data_dir {
             out.push_str(&format!("data_dir = {dir}\n"));
         }
-        for (k, shard) in self.all_shards.iter().enumerate() {
-            for (i, addr) in shard.iter().enumerate() {
-                if k == 0 {
-                    out.push_str(&format!("replica.{i} = {addr}\n"));
-                } else {
-                    out.push_str(&format!("shard.{k}.replica.{i} = {addr}\n"));
-                }
-            }
+        for (i, addr) in self.replicas.iter().enumerate() {
+            out.push_str(&format!("replica.{i} = {addr}\n"));
         }
         out
     }
@@ -670,7 +528,6 @@ impl Topology {
     /// The replica protocol configuration this topology implies.
     pub fn replica_config(&self) -> ReplicaConfig {
         let mut config = ReplicaConfig::small(self.f);
-        config.shard = self.shard;
         config.num_clients = self.clients.max(config.num_clients);
         config.view_change_timeout = SimDuration::from_millis(self.view_change_ms);
         config.status_interval = SimDuration::from_millis(self.status_ms);
@@ -691,18 +548,14 @@ impl Topology {
         ClientConfig::from_replica(&self.replica_config())
     }
 
-    /// Deterministic shared key material for every node in this shard's
-    /// group. Derivation runs through the shard id, so shard 0 matches
-    /// the pre-sharding material bit for bit and MACs never verify across
-    /// groups.
+    /// Deterministic shared key material for every node in the group.
     pub fn keys(&self) -> ClusterKeys {
         let config = self.replica_config();
-        ClusterKeys::generate_sharded(
+        ClusterKeys::generate(
             config.group,
             config.num_clients,
             config.sig_modulus_bits,
             self.key_seed,
-            self.shard,
         )
     }
 }
@@ -758,6 +611,17 @@ mod tests {
         let err = Topology::parse("f = 1\nbogus = 1\n").unwrap_err();
         assert_eq!(err.kind, ConfigErrorKind::UnknownKey);
         assert_eq!(err.key.as_deref(), Some("bogus"));
+        // A deployment is one group: a section for another group is an
+        // unknown key, not a config silently run as one group.
+        let err = Topology::parse(
+            "f = 1\nreplica.0 = 127.0.0.1:1\nreplica.1 = 127.0.0.1:2\n\
+             replica.2 = 127.0.0.1:3\nreplica.3 = 127.0.0.1:4\n\
+             shard.1.replica.0 = 127.0.0.1:11\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.kind, ConfigErrorKind::UnknownKey);
+        assert_eq!(err.line, Some(6));
+        assert_eq!(err.to_string(), "line 6: unknown key `shard.1.replica.0`");
         let err = Topology::parse("clients = 2").unwrap_err();
         assert_eq!(err.line, None, "whole-file errors carry no line");
         assert_eq!(err.kind, ConfigErrorKind::MissingF);
@@ -899,39 +763,13 @@ mod tests {
         assert!(Topology::parse("f = 1\ntentative_execution = maybe\n").is_err());
     }
 
-    #[test]
-    fn sharded_topology_roundtrips_and_projects() {
-        let topo = Topology::localhost_sharded(1, 8, 5100, 3);
-        assert_eq!(topo.num_shards(), 3);
-        assert_eq!(topo.shard_map().num_shards(), 3);
-        let text = topo.to_config_string();
-        assert!(
-            text.contains("shard.1.replica.0 = 127.0.0.1:5104"),
-            "{text}"
-        );
-        let back = Topology::parse(&text).expect("parse own output");
-        assert_eq!(back, topo);
-        // Projection selects the shard's addresses and keeps the
-        // deployment for routing.
-        let s2 = back.project(ShardId(2));
-        assert_eq!(s2.replicas, back.all_shards[2]);
-        assert_eq!(s2.all_shards, back.all_shards);
-        assert_eq!(s2.replica_config().shard, ShardId(2));
-        // Shard 0's projection is the parse result itself.
-        assert_eq!(back.project(ShardId(0)), back);
-        // Per-shard key material differs; shard 0 matches the unsharded
-        // derivation bit for bit.
-        assert_ne!(s2.keys().mac_domain, 0);
-        assert_eq!(back.keys().mac_domain, 0);
-    }
-
     /// Duplicate replica ids and duplicate listen addresses are
     /// config-file mistakes that would produce a cluster where two nodes
     /// fight over one identity or one port; both are rejected with the
     /// offending line.
     #[test]
     fn rejects_duplicate_ids_and_addresses_naming_the_line() {
-        // Same replica id twice (shard 0).
+        // Same replica id twice.
         let err = Topology::parse(
             "f = 1\nreplica.0 = 127.0.0.1:1\nreplica.1 = 127.0.0.1:2\n\
              replica.1 = 127.0.0.1:3\nreplica.3 = 127.0.0.1:4\n",
@@ -941,60 +779,42 @@ mod tests {
         assert!(err.contains("line 4"), "{err}");
         assert!(err.contains("duplicate replica id `replica.1`"), "{err}");
         assert!(err.contains("first defined on line 3"), "{err}");
-        // Same id twice within a non-zero shard section.
-        let base = "f = 1\nreplica.0 = 127.0.0.1:1\nreplica.1 = 127.0.0.1:2\n\
-                    replica.2 = 127.0.0.1:3\nreplica.3 = 127.0.0.1:4\n";
-        let err = Topology::parse(&format!(
-            "{base}shard.1.replica.0 = 127.0.0.1:11\nshard.1.replica.0 = 127.0.0.1:12\n"
-        ))
+        // Same listen address on two nodes.
+        let err = Topology::parse(
+            "f = 1\nreplica.0 = 127.0.0.1:1\nreplica.1 = 127.0.0.1:2\n\
+             replica.2 = 127.0.0.1:3\nreplica.3 = 127.0.0.1:2\n",
+        )
         .unwrap_err()
         .to_string();
-        assert!(err.contains("line 7"), "{err}");
-        assert!(
-            err.contains("duplicate replica id `shard.1.replica.0`"),
-            "{err}"
-        );
-        // Same listen address on two nodes — across shards, even.
-        let err = Topology::parse(&format!("{base}shard.1.replica.0 = 127.0.0.1:2\n"))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("line 6"), "{err}");
+        assert!(err.contains("line 5"), "{err}");
         assert!(
             err.contains("duplicate listen address `127.0.0.1:2`"),
             "{err}"
         );
         assert!(err.contains("first used on line 3"), "{err}");
-        // The same id on *different* shards is fine.
-        let ok = Topology::parse(&format!(
-            "{base}shard.1.replica.0 = 127.0.0.1:11\nshard.1.replica.1 = 127.0.0.1:12\n\
-             shard.1.replica.2 = 127.0.0.1:13\nshard.1.replica.3 = 127.0.0.1:14\n"
-        ))
-        .expect("two disjoint shards parse");
-        assert_eq!(ok.num_shards(), 2);
     }
 
     #[test]
-    fn incomplete_shard_sections_are_rejected() {
-        let base = "f = 1\nreplica.0 = 127.0.0.1:1\nreplica.1 = 127.0.0.1:2\n\
-                    replica.2 = 127.0.0.1:3\nreplica.3 = 127.0.0.1:4\n";
-        // Shard 1 present but short of 3f+1 addresses.
-        let err = Topology::parse(&format!("{base}shard.1.replica.0 = 127.0.0.1:11\n"))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("shard 1"), "{err}");
-        assert!(err.contains("3f+1"), "{err}");
-        // A shard gap (shard 2 defined, shard 1 absent) is a missing
-        // group, not a sparse numbering scheme.
-        let err = Topology::parse(&format!(
-            "{base}shard.2.replica.0 = 127.0.0.1:21\nshard.2.replica.1 = 127.0.0.1:22\n\
-             shard.2.replica.2 = 127.0.0.1:23\nshard.2.replica.3 = 127.0.0.1:24\n"
-        ))
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("shard 1"), "{err}");
-        // Malformed shard keys are named.
-        assert!(Topology::parse("f = 1\nshard.x.replica.0 = 127.0.0.1:1\n").is_err());
-        assert!(Topology::parse("f = 1\nshard.1.nonsense.0 = 127.0.0.1:1\n").is_err());
+    fn incomplete_group_is_rejected() {
+        // One index short of 3f+1: the message names the expected keys
+        // and the indices actually present.
+        let err = Topology::parse(
+            "f = 1\nreplica.0 = 127.0.0.1:1\nreplica.1 = 127.0.0.1:2\n\
+             replica.3 = 127.0.0.1:4\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, None);
+        assert_eq!(
+            err.kind,
+            ConfigErrorKind::IncompleteGroup {
+                n: 4,
+                indices: vec![0, 1, 3]
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "need replica.0 .. replica.3 (3f+1 = 4 addresses), got indices [0, 1, 3]"
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use client::{
 pub use clock::RtTimers;
 pub use config::{ConfigError, ConfigErrorKind, ServiceKind, StorageKind, Topology};
 pub use inject::{FaultPlane, LinkTally, SendVerdict, StormSignal};
-pub use loopback::{ConvergeFailure, ConvergeTimeout, LoopbackCluster, ShardedLoopback};
+pub use loopback::{ConvergeFailure, ConvergeTimeout, LoopbackCluster};
 pub use node::{
     spawn_counter_replica, spawn_service_replica, spawn_service_replica_faulted, NodeHandle,
     Snapshot,

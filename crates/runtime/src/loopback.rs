@@ -401,104 +401,3 @@ impl Drop for LoopbackCluster {
         }
     }
 }
-
-/// A sharded loopback deployment: `shards` independent PBFT groups, each
-/// a full [`LoopbackCluster`] on its own ephemeral ports with its own
-/// shard id — so every group derives disjoint key material from the
-/// shared `key_seed` and a frame from one shard can never verify on
-/// another. Clients are partitioned across shards (single-shard routing:
-/// a client's keys all live on its shard, so it pays no cross-group
-/// cost), which makes aggregate throughput the sum of `shards`
-/// independent consensus pipelines.
-pub struct ShardedLoopback {
-    /// The per-shard groups; index `k` is shard `k`.
-    pub shards: Vec<LoopbackCluster>,
-}
-
-impl ShardedLoopback {
-    /// Boots `shards` groups of `3f + 1` replicas. `tune` runs on every
-    /// shard's topology (after its shard id and deployment shape are
-    /// set) before that group's nodes start.
-    pub fn start_with(
-        f: usize,
-        clients: u32,
-        shards: u32,
-        tune: impl Fn(&mut Topology) + Copy,
-    ) -> ShardedLoopback {
-        use bft_types::ShardId;
-        let groups = (0..shards)
-            .map(|k| {
-                LoopbackCluster::start_with(f, clients, move |topo| {
-                    topo.shard = ShardId(k);
-                    // This group only knows its own addresses; slots for
-                    // the sibling shards keep indexing consistent.
-                    let mine = std::mem::take(&mut topo.replicas);
-                    topo.all_shards = vec![Vec::new(); shards as usize];
-                    topo.all_shards[k as usize] = mine.clone();
-                    topo.replicas = mine;
-                    tune(topo);
-                })
-            })
-            .collect();
-        ShardedLoopback { shards: groups }
-    }
-
-    /// Boots with default tuning.
-    pub fn start(f: usize, clients: u32, shards: u32) -> ShardedLoopback {
-        Self::start_with(f, clients, shards, |_| {})
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
-    /// Runs `clients` multiplexed clients against *every* shard
-    /// concurrently (each shard gets its own driver threads; client ids
-    /// are per-shard principals). Returns the reports indexed by shard.
-    pub fn run_clients_mux(
-        &self,
-        clients: u32,
-        groups: usize,
-        workload: &Workload,
-        deadline: Duration,
-    ) -> Vec<Vec<ClientReport>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    let workload = workload.clone();
-                    scope.spawn(move || shard.run_clients_mux(clients, groups, workload, deadline))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard client driver panicked"))
-                .collect()
-        })
-    }
-
-    /// Waits for every shard to converge (same frontier + digest within
-    /// each group, journals in agreement) and returns the per-shard
-    /// snapshots. Panics with the shard id on timeout or safety
-    /// violation — the per-shard journal verification step.
-    pub fn wait_all_converged(&self, timeout: Duration) -> Vec<Vec<Snapshot>> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(k, shard)| {
-                shard
-                    .wait_converged(timeout)
-                    .unwrap_or_else(|diag| panic!("shard {k}: {diag}"))
-            })
-            .collect()
-    }
-
-    /// Shuts every group down.
-    pub fn shutdown(self) {
-        for shard in self.shards {
-            shard.shutdown();
-        }
-    }
-}

@@ -108,34 +108,12 @@ enum EventKind {
     Fault(Fault),
 }
 
-/// What a [`Driver`] wants to do next.
-pub enum DriverStep {
-    /// Invoke `(operation, read_only)` now.
-    Invoke(Bytes, bool),
-    /// Nothing to do *yet*: the driver is waiting on external progress
-    /// (e.g. a cross-shard operation completing on another group) and must
-    /// be re-polled via [`Cluster::kick_client`].
-    Idle,
-    /// The workload is finished.
-    Done,
-}
-
 /// A closed-loop workload driver: asked for the next operation whenever
 /// the client is idle, fed the previous operation's result (scripted
 /// workloads like the Andrew benchmark resolve handles from replies).
 pub trait Driver {
     /// Returns the next `(operation, read_only)` or `None` when done.
     fn next(&mut self, last_result: Option<&Bytes>) -> Option<(Bytes, bool)>;
-
-    /// Three-way variant of [`Driver::next`] for drivers that can be
-    /// momentarily idle without being done (cross-shard coordination).
-    /// The default delegates to `next`, so ordinary drivers never see it.
-    fn step(&mut self, last_result: Option<&Bytes>) -> DriverStep {
-        match self.next(last_result) {
-            Some((op, read_only)) => DriverStep::Invoke(op, read_only),
-            None => DriverStep::Done,
-        }
-    }
 }
 
 /// One operation spec for the closed-loop workload.
@@ -256,12 +234,11 @@ impl<S: Service> Cluster<S> {
             config.replica.group.n,
             "one service instance per replica"
         );
-        let keys = bft_core::ClusterKeys::generate_sharded(
+        let keys = bft_core::ClusterKeys::generate(
             config.replica.group,
             config.replica.num_clients,
             config.replica.sig_modulus_bits,
             config.seed,
-            config.replica.shard,
         );
         let replicas: Vec<Replica<S>> = services
             .into_iter()
@@ -435,31 +412,6 @@ impl<S: Service> Cluster<S> {
         ev
     }
 
-    /// Virtual time of the next pending event, if any. The multi-group
-    /// scheduler uses this to advance N independent clusters in lock step
-    /// by the global minimum next-event time.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.events.next_at()
-    }
-
-    /// Sets one client's think time: the delay between an operation's
-    /// completion and the next driver poll.
-    pub fn set_client_think(&mut self, client: ClientId, think: SimDuration) {
-        self.clients[client.0 as usize].think = think;
-    }
-
-    /// Re-polls an idle client's driver now. A driver that returned
-    /// [`DriverStep::Idle`] is re-driven through this when whatever it was
-    /// waiting on (typically progress on another shard) has happened.
-    /// No-op when the client is busy or its workload is done.
-    pub fn kick_client(&mut self, client: ClientId) {
-        let slot = &self.clients[client.0 as usize];
-        if !slot.done && !slot.proxy.busy() {
-            let now = self.time;
-            self.client_advance(client, now, None);
-        }
-    }
-
     /// Runs until `deadline` or until the event queue empties.
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some((at, kind)) = self.pop_due(deadline) {
@@ -575,14 +527,13 @@ impl<S: Service> Cluster<S> {
             slot.done = true;
             return;
         };
-        match driver.step(last.as_ref()) {
-            DriverStep::Invoke(op, read_only) => {
+        match driver.next(last.as_ref()) {
+            Some((op, read_only)) => {
                 slot.invoke_time = at;
                 let actions = slot.proxy.invoke(op, read_only);
                 self.apply_actions(NodeId::Client(client), at, actions);
             }
-            DriverStep::Idle => {}
-            DriverStep::Done => slot.done = true,
+            None => slot.done = true,
         }
     }
 

@@ -7,7 +7,6 @@ pub mod chaos;
 pub mod harness;
 pub mod metrics;
 pub mod scenarios;
-pub mod sharded;
 
 pub use behavior::Behavior;
 pub use chaos::{run_plan, shrink, ChaosAction, ChaosEvent, ChaosPlan, ChaosReport};
@@ -15,7 +14,3 @@ pub use harness::{
     counter_cluster, mem_cluster, Cluster, ClusterConfig, Driver, EngineProfile, Fault, OpGen,
 };
 pub use metrics::{LatencySeries, Metrics};
-pub use sharded::{
-    cross_order_violations, run_sharded_plan, LogicalOp, ShardedChaosPlan, ShardedChaosReport,
-    ShardedCluster, ShardedClusterConfig,
-};

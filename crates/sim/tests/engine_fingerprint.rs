@@ -15,19 +15,16 @@
 
 use bft_sim::chaos::{run_plan, ChaosPlan};
 
-/// Full soak width; the golden file always holds all 50 seeds.
+/// Soak width in every profile; the golden file holds all 50 seeds.
 const SEEDS: u64 = 50;
-/// Debug builds check a prefix so `cargo test -q` stays fast; release
-/// builds (CI's fingerprint-regression step, bless runs) cover all 50.
-const DEBUG_SEEDS: u64 = 12;
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/chaos_fingerprints.txt"
 );
 
-fn soak(seeds: u64) -> String {
+fn soak() -> String {
     let mut out = String::new();
-    for seed in 0..seeds {
+    for seed in 0..SEEDS {
         let report = run_plan(&ChaosPlan::generate(seed));
         assert!(
             report.ok,
@@ -42,15 +39,10 @@ fn soak(seeds: u64) -> String {
 #[test]
 fn chaos_soak_fingerprints_match_pre_refactor_engine() {
     if std::env::var_os("BLESS_ENGINE_FINGERPRINTS").is_some() {
-        std::fs::write(GOLDEN, soak(SEEDS)).expect("write golden");
+        std::fs::write(GOLDEN, soak()).expect("write golden");
         return;
     }
-    let seeds = if cfg!(debug_assertions) {
-        DEBUG_SEEDS
-    } else {
-        SEEDS
-    };
-    let got = soak(seeds);
+    let got = soak();
     let want = std::fs::read_to_string(GOLDEN).expect("golden file present");
     assert_eq!(
         want.lines().count() as u64,
@@ -66,5 +58,5 @@ fn chaos_soak_fingerprints_match_pre_refactor_engine() {
             line + 1
         );
     }
-    assert_eq!(got.lines().count() as u64, seeds, "soak width");
+    assert_eq!(got.lines().count() as u64, SEEDS, "soak width");
 }

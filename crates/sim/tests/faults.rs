@@ -2,12 +2,13 @@
 //! flush out: duplicate delivery must not break exactly-once or double
 //! count certificates; a replica reconnecting after a long isolation must
 //! catch up by state transfer without dragging the group through spurious
-//! view changes; a crash–restart must rejoin from durable state.
+//! view changes; a crash–restart must rejoin from durable state; a
+//! read-only reply certificate must not form from lagging replicas.
 
-use bft_net::ChannelConfig;
-use bft_sim::{counter_cluster, Behavior, ClusterConfig, Fault, OpGen};
+use bft_net::{ChannelConfig, LinkProfile};
+use bft_sim::{counter_cluster, Behavior, ClusterConfig, Driver, Fault, OpGen};
 use bft_statemachine::CounterService;
-use bft_types::{NodeId, ReplicaId, SimTime};
+use bft_types::{ClientId, NodeId, ReplicaId, SimTime};
 use bytes::Bytes;
 
 const CLIENTS: u32 = 8;
@@ -221,4 +222,81 @@ fn restarted_primary_relearns_its_own_tail_without_view_change() {
             "replica {i} left view 0: catch-up must not need a view change"
         );
     }
+}
+
+/// Issues a fixed list of `(operation, read_only)` pairs, one at a time.
+struct Script(std::vec::IntoIter<(Bytes, bool)>);
+
+impl Driver for Script {
+    fn next(&mut self, _last: Option<&Bytes>) -> Option<(Bytes, bool)> {
+        self.0.next()
+    }
+}
+
+/// Regression (read-only reply quorum, §5.1.3): an INC completes on f+1
+/// non-tentative replies from r0 and r1 while r2 and r3, behind slow
+/// inbound replica links, have not executed it yet. A read-only GET that
+/// follows is answered by all four replicas from their current state, so
+/// two of the replies are stale. The client must wait for 2f+1 matching
+/// replies; accepting f+1 would return the stale pair and lose the
+/// client's own write.
+#[test]
+fn read_only_get_after_weak_certificate_sees_the_write() {
+    let mut config = ClusterConfig::test(1, 1);
+    // Without tentative execution a prepared-but-uncommitted backup has
+    // executed nothing, so it serves reads from the pre-INC state.
+    config.replica.opts.tentative_execution = false;
+    let mut cluster = counter_cluster(config);
+    let slow = |extra_latency_us| LinkProfile {
+        extra_latency_us,
+        ..LinkProfile::clean()
+    };
+    let replica = |i: u32| NodeId::Replica(ReplicaId(i));
+    let client = NodeId::Client(ClientId(0));
+    for lagging in [2, 3] {
+        for from in (0..4).filter(|&r| r != lagging) {
+            cluster.schedule_fault(
+                SimTime::ZERO,
+                Fault::SetLink(replica(from), replica(lagging), slow(20_000)),
+            );
+        }
+    }
+    // The up-to-date replicas answer the client late, so the lagging
+    // pair's GET replies arrive first.
+    for fresh in [0, 1] {
+        cluster.schedule_fault(
+            SimTime::ZERO,
+            Fault::SetLink(replica(fresh), client, slow(5_000)),
+        );
+    }
+    cluster.set_driver(
+        ClientId(0),
+        Box::new(Script(
+            vec![
+                (inc_op(), false),
+                (Bytes::from_static(&[CounterService::OP_GET]), true),
+            ]
+            .into_iter(),
+        )),
+    );
+    while cluster.client_results(0).is_empty() {
+        assert!(cluster.now() < SimTime(1_000_000), "INC must complete");
+        cluster.run_until(SimTime(cluster.now().0 + 100));
+    }
+    for lagging in [2, 3] {
+        assert_eq!(
+            cluster.replica(lagging).last_executed().0,
+            0,
+            "r{lagging} must not have executed the INC when it completes"
+        );
+    }
+    assert!(
+        cluster.run_to_completion(SimTime(10_000_000)),
+        "GET must complete"
+    );
+    let results = cluster.client_results(0);
+    assert_eq!(results.len(), 2);
+    let value = |r: &Bytes| u64::from_le_bytes(r[..8].try_into().expect("8-byte counter"));
+    assert_eq!(value(&results[0].1), 1, "INC result");
+    assert_eq!(value(&results[1].1), 1, "GET must see the client's own INC");
 }

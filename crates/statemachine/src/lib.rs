@@ -2,8 +2,6 @@
 
 pub mod service;
 pub mod services;
-pub mod sharded;
 
 pub use service::{Service, StateMemory, DEFAULT_PAGE_SIZE};
 pub use services::{ClockService, CounterService, KvService, MemService, NullService};
-pub use sharded::{CrossOpId, ShardedCounterService};

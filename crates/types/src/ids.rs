@@ -52,31 +52,6 @@ impl From<ClientId> for NodeId {
     }
 }
 
-/// A shard (replication-group) identifier. Each shard is an independent
-/// `3f + 1` PBFT group owning a contiguous keyspace range; the mapping from
-/// keys to shards lives in [`crate::ShardMap`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
-pub struct ShardId(pub u32);
-
-impl std::fmt::Display for ShardId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "s{}", self.0)
-    }
-}
-
-/// Derives the key-generation seed for one shard from a cluster-wide seed.
-///
-/// Shard 0 keeps the cluster seed unchanged, so a single-shard deployment is
-/// bit-identical to the pre-sharding code path; every other shard gets a
-/// distinct seed so its MAC/signature key material cannot collide with (or
-/// authenticate to) another shard's principals even though both shards number
-/// their replicas from `r0`.
-pub fn shard_seed(cluster_seed: u64, shard: ShardId) -> u64 {
-    cluster_seed ^ (shard.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// A view number. Views are numbered consecutively; the primary of view `v`
 /// is replica `v mod n` (§2.3).
 #[derive(

@@ -4,14 +4,11 @@
 pub mod framing;
 pub mod ids;
 pub mod messages;
-pub mod shard;
 pub mod time;
 pub mod wire;
 
 pub use framing::{encode_frame, frame_bytes, FrameDecoder, FrameError};
-pub use ids::{
-    shard_seed, ClientId, GroupParams, NodeId, ReplicaId, SeqNo, ShardId, Timestamp, View,
-};
+pub use ids::{ClientId, GroupParams, NodeId, ReplicaId, SeqNo, Timestamp, View};
 pub use messages::{
     null_request_digest, Auth, AuthContent, BatchEntry, Checkpoint, Commit, Data, DigestMemo,
     Fetch, Message, MetaData, NCSetEntry, NewKey, NewView, NewViewDecision, NewViewPk,
@@ -19,7 +16,6 @@ pub use messages::{
     QueryStable, Reply, ReplyBody, ReplyStable, Request, Requester, StatusActive, StatusPending,
     SubPartInfo, ViewChange, ViewChangeAck, ViewChangePk,
 };
-pub use shard::ShardMap;
 pub use time::{SimDuration, SimTime};
 pub use wire::{Wire, WireError};
 
@@ -74,52 +70,6 @@ mod proptests {
             // Adversarial bytes must be rejected gracefully, never panic.
             let mut slice = bytes.as_slice();
             let _ = Message::decode(&mut slice);
-        }
-
-        #[test]
-        fn shard_map_routing_total_and_deterministic(
-            n in 1u32..32,
-            keys in proptest::collection::vec(any::<u64>(), 1..64),
-        ) {
-            let m = ShardMap::uniform(n);
-            for &k in &keys {
-                let s = m.shard_of(k);
-                // Total: every key maps to a valid shard.
-                prop_assert!(s.0 < m.num_shards());
-                // Deterministic: the same key always routes identically.
-                prop_assert_eq!(m.shard_of(k), s);
-                // Consistent: the key falls inside the shard's stated range.
-                let (lo, hi) = m.range_of(s);
-                prop_assert!(lo <= k && k <= hi);
-            }
-        }
-
-        #[test]
-        fn shard_map_boundaries(starts in proptest::collection::vec(1u64..u64::MAX, 1..16)) {
-            let mut v = vec![0u64];
-            v.extend(starts);
-            v.sort_unstable();
-            v.dedup();
-            let m = ShardMap::from_starts(v.clone()).unwrap();
-            // A range start routes to its own shard; its predecessor routes
-            // to the shard before it.
-            for (i, &start) in v.iter().enumerate().skip(1) {
-                prop_assert_eq!(m.shard_of(start), ShardId(i as u32));
-                prop_assert_eq!(m.shard_of(start - 1), ShardId(i as u32 - 1));
-            }
-        }
-
-        #[test]
-        fn shard_map_wire_roundtrip(starts in proptest::collection::vec(1u64..u64::MAX, 0..16)) {
-            let mut v = vec![0u64];
-            v.extend(starts);
-            v.sort_unstable();
-            v.dedup();
-            let m = ShardMap::from_starts(v).unwrap();
-            let bytes = m.encoded();
-            let mut slice = bytes.as_slice();
-            prop_assert_eq!(ShardMap::decode(&mut slice).unwrap(), m);
-            prop_assert!(slice.is_empty());
         }
 
         #[test]
