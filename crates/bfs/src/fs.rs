@@ -98,21 +98,22 @@ struct Inode {
 /// The deterministic in-memory file system.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileSystem {
-    inodes: BTreeMap<u64, Inode>,
+    /// Inodes partitioned into checkpoint buckets by `ino % buckets.len()`,
+    /// each in inode order, so one bucket's page is encoded or installed
+    /// without visiting the others.
+    buckets: Vec<BTreeMap<u64, Inode>>,
     next_ino: u64,
 }
 
-impl Default for FileSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FileSystem {
-    /// Creates a filesystem with an empty root directory.
-    pub fn new() -> Self {
-        let mut inodes = BTreeMap::new();
-        inodes.insert(
+    /// Creates a filesystem with an empty root directory whose inodes are
+    /// paged into `nbuckets` checkpoint buckets (at least one).
+    pub fn new(nbuckets: u64) -> Self {
+        let mut fs = FileSystem {
+            buckets: vec![BTreeMap::new(); nbuckets.max(1) as usize],
+            next_ino: 2,
+        };
+        fs.insert(
             ROOT_INO.0,
             Inode {
                 node: Node::Dir {
@@ -123,18 +124,32 @@ impl FileSystem {
                 nlink: 2,
             },
         );
-        FileSystem {
-            inodes,
-            next_ino: 2,
-        }
+        fs
+    }
+
+    fn bucket_of(&self, ino: u64) -> usize {
+        (ino % self.buckets.len() as u64) as usize
+    }
+
+    fn insert(&mut self, ino: u64, inode: Inode) {
+        let b = self.bucket_of(ino);
+        self.buckets[b].insert(ino, inode);
+    }
+
+    fn delete(&mut self, ino: u64) {
+        let b = self.bucket_of(ino);
+        self.buckets[b].remove(&ino);
     }
 
     fn get(&self, ino: Ino) -> Result<&Inode, FsError> {
-        self.inodes.get(&ino.0).ok_or(FsError::Stale)
+        self.buckets[self.bucket_of(ino.0)]
+            .get(&ino.0)
+            .ok_or(FsError::Stale)
     }
 
     fn get_mut(&mut self, ino: Ino) -> Result<&mut Inode, FsError> {
-        self.inodes.get_mut(&ino.0).ok_or(FsError::Stale)
+        let b = self.bucket_of(ino.0);
+        self.buckets[b].get_mut(&ino.0).ok_or(FsError::Stale)
     }
 
     fn dir_entries(&self, ino: Ino) -> Result<&BTreeMap<String, Ino>, FsError> {
@@ -150,7 +165,7 @@ impl FileSystem {
         // client, assigns inodes, so a faulty client cannot alias files.
         let ino = Ino(self.next_ino);
         self.next_ino += 1;
-        self.inodes.insert(ino.0, inode);
+        self.insert(ino.0, inode);
         ino
     }
 
@@ -334,7 +349,7 @@ impl FileSystem {
         let inode = self.get_mut(target)?;
         inode.nlink = inode.nlink.saturating_sub(1);
         if inode.nlink == 0 {
-            self.inodes.remove(&target.0);
+            self.delete(target.0);
         }
         Ok(())
     }
@@ -359,7 +374,7 @@ impl FileSystem {
         let d = self.get_mut(dir)?;
         d.mtime = now;
         d.nlink = d.nlink.saturating_sub(1);
-        self.inodes.remove(&target.0);
+        self.delete(target.0);
         Ok(())
     }
 
@@ -409,22 +424,24 @@ impl FileSystem {
 
     /// Total number of inodes (test/metric helper).
     pub fn inode_count(&self) -> usize {
-        self.inodes.len()
+        self.buckets.iter().map(BTreeMap::len).sum()
     }
 
-    /// Serializes the inodes of `bucket` (of `nbuckets`) canonically, for
+    /// Number of checkpoint buckets the inodes are paged into.
+    pub fn num_buckets(&self) -> u64 {
+        self.buckets.len() as u64
+    }
+
+    /// Serializes the inodes of `bucket` canonically (in inode order), for
     /// checkpoint paging. Bucket 0 additionally carries the allocator
-    /// cursor so restored replicas keep allocating identically.
-    pub fn encode_bucket(&self, bucket: u64, nbuckets: u64) -> Vec<u8> {
+    /// cursor so restored replicas keep allocating identically. Costs the
+    /// bucket's own inodes only.
+    pub fn encode_bucket(&self, bucket: u64) -> Vec<u8> {
         let mut out = Vec::new();
         if bucket == 0 {
             out.extend_from_slice(&self.next_ino.to_le_bytes());
         }
-        let members: Vec<(&u64, &Inode)> = self
-            .inodes
-            .iter()
-            .filter(|(ino, _)| *ino % nbuckets == bucket)
-            .collect();
+        let members = &self.buckets[bucket as usize];
         out.extend_from_slice(&(members.len() as u32).to_le_bytes());
         for (ino, inode) in members {
             out.extend_from_slice(&ino.to_le_bytes());
@@ -459,8 +476,8 @@ impl FileSystem {
     /// Replaces the inodes of `bucket` from a serialized page (state
     /// transfer restore). Malformed input clears the bucket (the digest
     /// check upstream guarantees this only happens for trusted data).
-    pub fn install_bucket(&mut self, bucket: u64, nbuckets: u64, data: &[u8]) {
-        self.inodes.retain(|ino, _| ino % nbuckets != bucket);
+    pub fn install_bucket(&mut self, bucket: u64, data: &[u8]) {
+        self.buckets[bucket as usize].clear();
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
             if *pos + n > data.len() {
@@ -527,7 +544,7 @@ impl FileSystem {
                 }
                 _ => return,
             };
-            self.inodes.insert(
+            self.insert(
                 ino,
                 Inode {
                     node,
@@ -562,7 +579,7 @@ mod tests {
 
     #[test]
     fn create_write_read_roundtrip() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let f = fs.create(ROOT_INO, "hello.txt", 0o644, 100).unwrap();
         fs.write(f, 0, b"hello world", 101).unwrap();
         assert_eq!(fs.read(f, 0, 5).unwrap(), b"hello");
@@ -575,7 +592,7 @@ mod tests {
 
     #[test]
     fn sparse_write_zero_fills() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let f = fs.create(ROOT_INO, "f", 0o644, 0).unwrap();
         fs.write(f, 10, b"x", 1).unwrap();
         assert_eq!(fs.read(f, 0, 11).unwrap(), b"\0\0\0\0\0\0\0\0\0\0x");
@@ -583,7 +600,7 @@ mod tests {
 
     #[test]
     fn mkdir_lookup_and_nesting() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let d1 = fs.mkdir(ROOT_INO, "a", 0o755, 1).unwrap();
         let d2 = fs.mkdir(d1, "b", 0o755, 2).unwrap();
         let f = fs.create(d2, "c", 0o644, 3).unwrap();
@@ -594,7 +611,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         fs.create(ROOT_INO, "x", 0o644, 0).unwrap();
         assert_eq!(fs.create(ROOT_INO, "x", 0o644, 0), Err(FsError::Exists));
         assert_eq!(fs.mkdir(ROOT_INO, "x", 0o755, 0), Err(FsError::Exists));
@@ -602,7 +619,7 @@ mod tests {
 
     #[test]
     fn invalid_names_rejected() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         for bad in ["", "a/b", ".", ".."] {
             assert_eq!(fs.create(ROOT_INO, bad, 0o644, 0), Err(FsError::Invalid));
         }
@@ -610,7 +627,7 @@ mod tests {
 
     #[test]
     fn remove_and_rmdir() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let d = fs.mkdir(ROOT_INO, "d", 0o755, 0).unwrap();
         fs.create(d, "f", 0o644, 0).unwrap();
         assert_eq!(fs.rmdir(ROOT_INO, "d", 1), Err(FsError::NotEmpty));
@@ -625,7 +642,7 @@ mod tests {
 
     #[test]
     fn rename_replaces_files() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let f1 = fs.create(ROOT_INO, "a", 0o644, 0).unwrap();
         fs.write(f1, 0, b"one", 1).unwrap();
         let f2 = fs.create(ROOT_INO, "b", 0o644, 0).unwrap();
@@ -638,7 +655,7 @@ mod tests {
 
     #[test]
     fn rename_across_directories() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let d1 = fs.mkdir(ROOT_INO, "d1", 0o755, 0).unwrap();
         let d2 = fs.mkdir(ROOT_INO, "d2", 0o755, 0).unwrap();
         let f = fs.create(d1, "f", 0o644, 0).unwrap();
@@ -649,7 +666,7 @@ mod tests {
 
     #[test]
     fn symlinks() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let l = fs.symlink(ROOT_INO, "link", "/target/path", 5).unwrap();
         assert_eq!(fs.readlink(l).unwrap(), "/target/path");
         assert_eq!(fs.getattr(l).unwrap().kind, FileType::Symlink);
@@ -659,7 +676,7 @@ mod tests {
 
     #[test]
     fn setattr_truncates() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let f = fs.create(ROOT_INO, "f", 0o644, 0).unwrap();
         fs.write(f, 0, b"0123456789", 1).unwrap();
         fs.setattr(f, Some(0o600), Some(4), 2).unwrap();
@@ -674,7 +691,7 @@ mod tests {
 
     #[test]
     fn readdir_sorted_deterministic() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         fs.create(ROOT_INO, "zeta", 0o644, 0).unwrap();
         fs.create(ROOT_INO, "alpha", 0o644, 0).unwrap();
         let names: Vec<String> = fs
@@ -688,8 +705,8 @@ mod tests {
 
     #[test]
     fn deterministic_inode_allocation() {
-        let mut a = FileSystem::new();
-        let mut b = FileSystem::new();
+        let mut a = FileSystem::new(4);
+        let mut b = FileSystem::new(4);
         for i in 0..10 {
             let name = format!("f{i}");
             assert_eq!(
@@ -702,16 +719,15 @@ mod tests {
 
     #[test]
     fn bucket_roundtrip() {
-        let mut fs = FileSystem::new();
+        let mut fs = FileSystem::new(4);
         let d = fs.mkdir(ROOT_INO, "dir", 0o755, 1).unwrap();
         let f = fs.create(d, "file", 0o644, 2).unwrap();
         fs.write(f, 0, b"payload", 3).unwrap();
         fs.symlink(ROOT_INO, "ln", "/dir/file", 4).unwrap();
-        let nb = 4;
-        let mut restored = FileSystem::new();
-        for b in 0..nb {
-            let page = fs.encode_bucket(b, nb);
-            restored.install_bucket(b, nb, &page);
+        let mut restored = FileSystem::new(4);
+        for b in 0..fs.num_buckets() {
+            let page = fs.encode_bucket(b);
+            restored.install_bucket(b, &page);
         }
         assert_eq!(restored, fs);
         let rf = restored.resolve("/dir/file").unwrap();
@@ -720,7 +736,7 @@ mod tests {
 
     #[test]
     fn stale_handles() {
-        let fs = FileSystem::new();
+        let fs = FileSystem::new(4);
         assert_eq!(fs.getattr(Ino(999)), Err(FsError::Stale));
         assert_eq!(fs.read(Ino(999), 0, 1), Err(FsError::Stale));
     }

@@ -357,7 +357,6 @@ impl NfsReply {
 #[derive(Clone, Debug)]
 pub struct BfsService {
     fs: FileSystem,
-    buckets: u64,
     dirty: std::collections::BTreeSet<u64>,
     /// The replica's local clock (µs), fed by the harness; proposed as the
     /// non-deterministic value when this replica is primary.
@@ -373,8 +372,7 @@ impl BfsService {
     /// Creates a BFS service paged into `buckets` checkpoint pages.
     pub fn new(buckets: u64) -> Self {
         BfsService {
-            fs: FileSystem::new(),
-            buckets: buckets.max(1),
+            fs: FileSystem::new(buckets),
             dirty: std::collections::BTreeSet::new(),
             local_clock_us: 1,
             last_time: 0,
@@ -404,7 +402,7 @@ impl BfsService {
 
     fn mark_dirty_all_touched(&mut self, inos: &[u64]) {
         for i in inos {
-            self.dirty.insert(i % self.buckets);
+            self.dirty.insert(i % self.fs.num_buckets());
         }
     }
 
@@ -519,7 +517,7 @@ impl Service for BfsService {
             // page so rollback and state transfer restore it with the rest
             // of the state.
             self.last_time = now;
-            self.dirty.insert(self.buckets);
+            self.dirty.insert(self.fs.num_buckets());
         }
         self.apply(&op, now).encode()
     }
@@ -542,25 +540,25 @@ impl Service for BfsService {
 
     fn num_pages(&self) -> u64 {
         // Bucket pages plus one meta page holding the monotonic time floor.
-        self.buckets + 1
+        self.fs.num_buckets() + 1
     }
 
     fn get_page(&self, index: u64) -> Bytes {
-        if index == self.buckets {
+        if index == self.fs.num_buckets() {
             return Bytes::from(self.last_time.to_le_bytes().to_vec());
         }
-        Bytes::from(self.fs.encode_bucket(index, self.buckets))
+        Bytes::from(self.fs.encode_bucket(index))
     }
 
     fn put_page(&mut self, index: u64, data: &[u8]) {
-        if index == self.buckets {
+        if index == self.fs.num_buckets() {
             self.last_time = data
                 .get(..8)
                 .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
                 .unwrap_or(0);
             return;
         }
-        self.fs.install_bucket(index, self.buckets, data);
+        self.fs.install_bucket(index, data);
     }
 
     fn take_dirty(&mut self) -> Vec<u64> {

@@ -9,6 +9,12 @@
 //! Checkpoints are logical copies implemented copy-on-write: a snapshot
 //! stores digests eagerly (small) and page values lazily (only when a later
 //! write would destroy the value).
+//!
+//! The replica writes service pages here at checkpoints, not per batch:
+//! between checkpoints the current pages hold the last checkpoint's
+//! values (plus state-transfer installs and injected corruption), and
+//! [`PartitionTree::write_page`] runs once per modified page just before
+//! [`PartitionTree::checkpoint`].
 
 use bft_crypto::md5::Md5;
 use bft_crypto::{AdHash, Digest};

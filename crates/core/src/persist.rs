@@ -346,14 +346,11 @@ impl<S: Service> Replica<S> {
         for req in requests {
             self.execute_request(req, nondet, false, out);
         }
-        self.sync_state_to_tree();
+        self.collect_dirty_pages();
         self.last_exec = seq;
         self.stats.batches_executed += 1;
         if seq.0.is_multiple_of(self.config.checkpoint_interval) {
-            let d = self.tree.checkpoint(seq);
-            self.ckpt.record_own(seq, d);
-            self.pending_ckpts.push((seq, d));
-            self.stats.checkpoints_taken += 1;
+            self.take_checkpoint(seq);
         }
     }
 }
@@ -580,5 +577,130 @@ mod tests {
         assert_eq!(fresh.stable_checkpoint(), (stable, d));
         // The journal restarts above the snapshot; the tail matches.
         assert_eq!(fresh.journal, want_tail);
+    }
+
+    fn counter_op(client: u32, t: u64, op: u8) -> Request {
+        Request {
+            operation: Bytes::from(vec![op]),
+            ..request(client, t)
+        }
+    }
+
+    /// Executes a committed one-request batch at `seq` on the live path
+    /// (write-ahead record, execution, checkpoint schedule).
+    fn run_batch(r: &mut Replica<CounterService>, seq: u64, req: Request) {
+        let rd = r.requests.insert(req);
+        let bd = bft_crypto::digest(&[&seq.to_le_bytes()[..], rd.as_bytes()].concat());
+        r.batches.insert(
+            bd,
+            StoredBatch {
+                requests: vec![rd],
+                nondet: Bytes::new(),
+            },
+        );
+        r.execute_batch(SeqNo(seq), bd, false, &mut Outbox::new());
+        r.persist_commit(SeqNo(seq));
+    }
+
+    /// Pages dirtied by batches a rollback undoes must not reach the
+    /// next checkpoint: after increments are rolled back, a history of
+    /// reads alone checkpoints to the digest of a replica that only ever
+    /// ran the reads (a stale pending page would bump its `lm`).
+    #[test]
+    fn rollback_drops_pages_pending_from_undone_batches() {
+        let mut r = replica(1);
+        let interval = r.config.checkpoint_interval;
+        for seq in 1..interval {
+            run_batch(&mut r, seq, counter_op(0, seq, CounterService::OP_INC));
+        }
+        r.rollback_to_checkpoint(SeqNo(0));
+        assert_eq!(r.last_executed(), SeqNo(0));
+        let mut fresh = replica(1);
+        for seq in 1..=interval {
+            let read = counter_op(1, seq, CounterService::OP_GET);
+            run_batch(&mut r, seq, read.clone());
+            run_batch(&mut fresh, seq, read);
+        }
+        let want = fresh.ckpt.own_digest(SeqNo(interval));
+        assert!(want.is_some(), "checkpoint taken");
+        assert_eq!(r.ckpt.own_digest(SeqNo(interval)), want);
+        assert_ne!(want, Some(fresh.ckpt.stable().1), "reads change the table");
+    }
+
+    /// WAL recovery redoes batches across a checkpoint boundary above the
+    /// snapshot and reaches the checkpoint digests the writer took on the
+    /// live path, including the next checkpoint, which pages pending from
+    /// the redo tail enter.
+    #[test]
+    fn recovery_redo_across_a_checkpoint_matches_the_writer() {
+        let mut r = replica(1);
+        let k = r.config.checkpoint_interval;
+        r.attach_storage(Box::new(MemStorage::new()));
+        let op = |seq: u64| {
+            let code = if seq.is_multiple_of(3) {
+                CounterService::OP_GET
+            } else {
+                CounterService::OP_INC
+            };
+            counter_op((seq % 2) as u32, seq, code)
+        };
+        for seq in 1..=2 * k + k / 2 {
+            run_batch(&mut r, seq, op(seq));
+            if seq == k {
+                let d = r.ckpt.own_digest(SeqNo(k)).expect("checkpoint taken");
+                r.ckpt.force_stable(SeqNo(k), d);
+                r.log.advance_low(SeqNo(k));
+                r.persist_stable_checkpoint(SeqNo(k), d);
+            }
+        }
+        let mut engine = r.detach_storage().unwrap();
+        let mut fresh = replica(1);
+        fresh.recover(engine.as_mut());
+        assert_eq!(fresh.stable_checkpoint().0, SeqNo(k), "from the snapshot");
+        assert_eq!(fresh.last_executed(), SeqNo(2 * k + k / 2));
+        let redone = SeqNo(2 * k);
+        assert!(r.ckpt.own_digest(redone).is_some());
+        assert_eq!(fresh.ckpt.own_digest(redone), r.ckpt.own_digest(redone));
+        for seq in 2 * k + k / 2 + 1..=3 * k {
+            run_batch(&mut r, seq, op(seq));
+            run_batch(&mut fresh, seq, op(seq));
+        }
+        let next = SeqNo(3 * k);
+        assert!(r.ckpt.own_digest(next).is_some());
+        assert_eq!(fresh.ckpt.own_digest(next), r.ckpt.own_digest(next));
+    }
+
+    /// Corrupting one page keeps the pages executed since the last
+    /// checkpoint pending: they still enter the next checkpoint, and the
+    /// corrupted page, which no batch rewrites, keeps its old digest
+    /// until the recovery state check recomputes it.
+    #[test]
+    fn corruption_keeps_pages_executed_since_the_checkpoint() {
+        let two_pages = || {
+            let config = ReplicaConfig::test(1);
+            let keys = ClusterKeys::generate(config.group, config.num_clients, 128, 3);
+            Replica::new(
+                bft_types::ReplicaId(1),
+                config,
+                CounterService::new(1024),
+                &keys,
+                7,
+            )
+        };
+        let (mut r, mut clean) = (two_pages(), two_pages());
+        assert_eq!(r.service.num_pages(), 2);
+        let k = r.config.checkpoint_interval;
+        for seq in 1..k {
+            let inc = counter_op(0, seq, CounterService::OP_INC);
+            run_batch(&mut r, seq, inc.clone());
+            run_batch(&mut clean, seq, inc);
+        }
+        r.corrupt_state_page(1, Bytes::from_static(b"rot"));
+        let read = counter_op(0, k, CounterService::OP_GET);
+        run_batch(&mut r, k, read.clone());
+        run_batch(&mut clean, k, read);
+        let want = clean.ckpt.own_digest(SeqNo(k));
+        assert!(want.is_some(), "checkpoint taken");
+        assert_eq!(r.ckpt.own_digest(SeqNo(k)), want);
     }
 }

@@ -6,6 +6,13 @@
 //! [`crate::viewchange`] and [`crate::viewchange_pk`], state transfer in
 //! [`crate::state_transfer`], retransmission in [`crate::status`], and
 //! proactive recovery in [`crate::recovery`].
+//!
+//! Service pages enter the partition tree at checkpoints, as in the
+//! paper's replication library: after each batch the replica only notes
+//! which pages the service dirtied (plus the client-table page) in
+//! `pending_pages`, and just before each checkpoint it encodes and
+//! writes every pending page once. Rollback, state-transfer installs and
+//! WAL recovery restore the state from the tree and clear the set.
 
 use crate::actions::{Action, Input, Outbox, TimerId};
 use crate::authn::AuthState;
@@ -25,6 +32,7 @@ use bft_types::{Message, NodeId, ReplicaId, Reply, ReplyBody, Request, SeqNo, Si
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// Counters exposed for tests, metrics, and the benchmark harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,6 +69,11 @@ pub struct Replica<S: Service> {
     pub(crate) service: S,
     /// Checkpointed, digested state pages (service pages + client table).
     pub(crate) tree: PartitionTree,
+    /// Pages modified since the last checkpoint: the service's dirty
+    /// pages plus the client-table page once any batch ran. They enter the
+    /// tree only when the next checkpoint is taken, so each is encoded and
+    /// digested once per checkpoint, however many batches touched it.
+    pub(crate) pending_pages: BTreeSet<u64>,
     /// Reply cache.
     pub(crate) client_table: ClientTable,
     /// The message log.
@@ -177,6 +190,7 @@ impl<S: Service> Replica<S> {
             auth,
             service,
             tree,
+            pending_pages: BTreeSet::new(),
             client_table,
             log,
             ckpt: CheckpointManager::new(stable_threshold, genesis),
@@ -413,23 +427,46 @@ impl<S: Service> Replica<S> {
         self.service.num_pages()
     }
 
-    /// Flushes the service's dirty pages (and the client table) into the
-    /// partition tree after executing a batch.
-    pub(crate) fn sync_state_to_tree(&mut self) {
-        for page in self.service.take_dirty() {
-            self.tree.write_page(page, self.service.get_page(page));
+    /// Moves the pages the last batch dirtied, and the client-table page
+    /// it may have changed, into the pending set; they are written to the
+    /// tree at the next checkpoint.
+    pub(crate) fn collect_dirty_pages(&mut self) {
+        self.pending_pages.extend(self.service.take_dirty());
+        self.pending_pages.insert(self.ct_page());
+    }
+
+    /// Encodes a pending page from the live state into the tree.
+    fn write_page_to_tree(&mut self, page: u64) {
+        let value = if page == self.ct_page() {
+            self.client_table.to_page()
+        } else {
+            self.service.get_page(page)
+        };
+        self.tree.write_page(page, value);
+    }
+
+    /// Takes the checkpoint at `seq` (§2.3.4): writes the pending pages
+    /// into the tree, digests them, and records our own checkpoint, to be
+    /// announced after commit (§5.1.2).
+    pub(crate) fn take_checkpoint(&mut self, seq: SeqNo) {
+        for page in std::mem::take(&mut self.pending_pages) {
+            self.write_page_to_tree(page);
         }
-        let ct = self.ct_page();
-        self.tree.write_page(ct, self.client_table.to_page());
+        let digest = self.tree.checkpoint(seq);
+        self.ckpt.record_own(seq, digest);
+        self.pending_ckpts.push((seq, digest));
+        self.stats.checkpoints_taken += 1;
     }
 
     /// Restores the service and client table from the tree's current pages
-    /// (after a rollback or a completed state transfer).
+    /// (after a rollback, a completed state transfer or a snapshot
+    /// install). Pages pending from batches the restore undid are dropped.
     pub(crate) fn sync_state_from_tree(&mut self) {
         for page in 0..self.service.num_pages() {
             self.service.put_page(page, self.tree.page(page));
         }
         let _ = self.service.take_dirty();
+        self.pending_pages.clear();
         let ct = self.ct_page();
         if let Ok(table) = ClientTable::from_page(self.tree.page(ct)) {
             self.client_table = table;
@@ -498,7 +535,13 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    fn execute_batch(&mut self, seq: SeqNo, digest: Digest, tentative: bool, out: &mut Outbox) {
+    pub(crate) fn execute_batch(
+        &mut self,
+        seq: SeqNo,
+        digest: Digest,
+        tentative: bool,
+        out: &mut Outbox,
+    ) {
         self.executing_seq = seq;
         self.journal.push((seq, digest));
         let batch = self
@@ -518,7 +561,7 @@ impl<S: Service> Replica<S> {
                 .clone();
             self.execute_request(&req, &batch.nondet, tentative, out);
         }
-        self.sync_state_to_tree();
+        self.collect_dirty_pages();
         self.last_exec = seq;
         {
             let slot = self.log.slot_mut(seq);
@@ -531,10 +574,7 @@ impl<S: Service> Replica<S> {
         // Checkpoint at multiples of the checkpoint interval (§2.3.4),
         // taken immediately but announced after commit (§5.1.2).
         if seq.0.is_multiple_of(self.config.checkpoint_interval) {
-            let digest = self.tree.checkpoint(seq);
-            self.ckpt.record_own(seq, digest);
-            self.pending_ckpts.push((seq, digest));
-            self.stats.checkpoints_taken += 1;
+            self.take_checkpoint(seq);
         }
     }
 
@@ -699,10 +739,11 @@ impl<S: Service> Replica<S> {
                 continue;
             }
             let result = self.service.execute(req.requester, &req.operation, b"");
-            debug_assert!(
-                self.service.take_dirty().is_empty(),
-                "read-only op must not modify state"
-            );
+            // Drained in every build, so debug and release replicas flush
+            // the same pages even if a service breaks the contract.
+            let dirty = self.service.take_dirty();
+            debug_assert!(dirty.is_empty(), "read-only op must not modify state");
+            self.pending_pages.extend(dirty);
             // Read-only replies are collected as a quorum certificate by
             // the client, like tentative replies (§5.1.3).
             self.send_reply(&req, result, true, out);
@@ -891,9 +932,18 @@ impl<S: Service> Replica<S> {
     /// attacker corrupting a replica's state on disk (§4.1: the recovery
     /// state check detects and repairs exactly this).
     pub fn corrupt_state_page(&mut self, page: u64, value: Bytes) {
+        // A page modified since the last checkpoint reaches the tree first,
+        // so the corruption replaces its executed value while copy-on-write
+        // keeps the checkpoint's.
+        if self.pending_pages.remove(&page) {
+            self.write_page_to_tree(page);
+        }
         self.tree.corrupt_page_data(page, value.clone());
         if page < self.service.num_pages() {
             self.service.put_page(page, &value);
+            // Drop the corruption's own dirty mark, the only one: batches
+            // drain theirs into `pending_pages`, which keeps the pages
+            // executed since the last checkpoint.
             let _ = self.service.take_dirty();
         }
     }

@@ -238,10 +238,12 @@ pub fn spawn_counter_replica(id: ReplicaId, topo: Topology, listener: TcpListene
     spawn_service_replica(id, topo, listener)
 }
 
-/// Checkpoint pages for the live BFS service. More pages than the
-/// simulator's 64 so state-transfer fetches stay small under the Andrew
-/// write volume.
-pub const BFS_LIVE_BUCKETS: u64 = 128;
+/// Checkpoint pages for the live BFS service: 1024, so a bucket holds a
+/// few Andrew inodes (about 1.5 KB) and a checkpoint encodes and digests
+/// only the small pages its batches touched. The price is on catch-up: a
+/// full BFS state transfer fetches up to 8× more pages than at 128, and
+/// the fetcher keeps one page in flight (ROADMAP item 8).
+pub const BFS_LIVE_BUCKETS: u64 = 1024;
 
 /// Spawns a replica running whatever service the topology's `service`
 /// key selects — the dispatch point shared by `pbft-node` and the

@@ -9,7 +9,7 @@
 //! execution shows up in the client's own result stream, not just in
 //! replica state.
 
-use bft_runtime::client::{run_client, run_workers, LoadMode, Workload};
+use bft_runtime::client::{run_client, run_workers, ClientReport, LoadMode, Workload};
 use bft_runtime::config::Topology;
 use bft_runtime::loopback::LoopbackCluster;
 use bft_runtime::node::spawn_counter_replica;
@@ -75,6 +75,33 @@ fn normal_case_commits_mixed_workload_with_identical_journals() {
     cluster.shutdown();
 }
 
+/// Where a stalled view change stands: every surviving replica's view,
+/// execution progress and view-change counters, and every client's
+/// progress and retransmissions.
+fn view_change_forensics(cluster: &LoopbackCluster, reports: &[ClientReport]) -> String {
+    let replicas = cluster.snapshots().into_iter().map(|s| {
+        format!(
+            "  r{}: view={} view_active={} last_exec={} committed_frontier={} \
+             view_changes_started={} views_entered={} exec_blocker={}",
+            s.id.0,
+            s.view,
+            s.view_active,
+            s.last_exec.0,
+            s.committed_frontier.0,
+            s.stats.view_changes_started,
+            s.stats.views_entered,
+            s.exec_blocker
+        )
+    });
+    let clients = reports.iter().map(|r| {
+        format!(
+            "  c{}: completed={} retransmitted={}",
+            r.client.0, r.completed, r.retransmitted
+        )
+    });
+    replicas.chain(clients).collect::<Vec<_>>().join("\n")
+}
+
 #[test]
 fn primary_kill_triggers_view_change_and_workload_completes() {
     let mut cluster = LoopbackCluster::start(1, 3);
@@ -108,9 +135,11 @@ fn primary_kill_triggers_view_change_and_workload_completes() {
     });
     for r in &reports {
         assert_eq!(
-            r.completed, 120,
-            "client {} did not finish after the view change",
-            r.client.0
+            r.completed,
+            120,
+            "client {} did not finish after the view change\n{}",
+            r.client.0,
+            view_change_forensics(&cluster, &reports)
         );
         assert_counter_sequence(&workload, &r.results);
     }
