@@ -1,505 +1,5 @@
-//! Shared helpers for the benchmark harness (the `tables` binary and the
-//! Criterion benches). Each public `run_*` function regenerates one
-//! Chapter 8 table or figure; see `DESIGN.md` §4 for the experiment index
-//! and `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
+//! The chaos campaign's library half: [`realnet_chaos`] replays the
+//! simulator's seeded chaos schedules against a live loopback cluster.
+//! The `chaos` binary drives both the simulated and the live campaign.
 
-use bfs::AndrewConfig;
-use bft_core::config::{AuthMode, Optimizations};
-use bft_sim::scenarios::{self, MicroOp};
-use bft_types::SimDuration;
-use std::time::Instant;
-
-pub mod andrew;
 pub mod realnet_chaos;
-pub mod report;
-
-pub use report::{BenchReport, Json};
-
-/// Prints a table header.
-pub fn header(id: &str, title: &str) {
-    println!("\n=== {id}: {title} ===");
-}
-
-/// E-8.2.1: real digest-computation cost versus input size.
-pub fn run_e821() {
-    header(
-        "E-8.2.1",
-        "MD5 digest computation cost (measured, real time)",
-    );
-    println!("{:>10} {:>14} {:>12}", "bytes", "us/op", "MB/s");
-    for size in [64usize, 256, 1024, 4096, 8192] {
-        let data = vec![0xa5u8; size];
-        let iters = 20_000;
-        let start = Instant::now();
-        let mut acc = 0u8;
-        for _ in 0..iters {
-            acc ^= bft_crypto::digest(&data).0[0];
-        }
-        std::hint::black_box(acc);
-        let us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
-        println!("{:>10} {:>14.3} {:>12.1}", size, us, size as f64 / us);
-    }
-}
-
-/// E-8.2.2: MAC / authenticator / signature costs (the three-orders gap).
-pub fn run_e822() {
-    header(
-        "E-8.2.2",
-        "MAC vs authenticator vs signature cost (measured, real time)",
-    );
-    let key = bft_crypto::SessionKey::from_seed(1);
-    let msg = vec![0u8; 64];
-    let iters = 50_000;
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(bft_crypto::hmac::mac(&key, &msg));
-    }
-    let mac_us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    println!("single MAC (64B header):        {mac_us:>10.3} us");
-
-    for n in [4usize, 7, 13, 37] {
-        let keys: Vec<_> = (0..n as u64)
-            .map(bft_crypto::SessionKey::from_seed)
-            .collect();
-        let iters = 10_000;
-        let start = Instant::now();
-        for i in 0..iters {
-            std::hint::black_box(bft_crypto::Authenticator::generate(&keys, i, &msg));
-        }
-        let us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
-        println!("authenticator n={n:<3} generate:   {us:>10.3} us");
-    }
-
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    let kp = bft_crypto::KeyPair::generate_with_bits(&mut rng, 1024);
-    let start = Instant::now();
-    let sig_iters = 20;
-    for _ in 0..sig_iters {
-        std::hint::black_box(kp.sign(&msg));
-    }
-    let sign_us = start.elapsed().as_secs_f64() * 1e6 / sig_iters as f64;
-    let sig = kp.sign(&msg);
-    let start = Instant::now();
-    let ver_iters = 200;
-    for _ in 0..ver_iters {
-        std::hint::black_box(kp.public.verify(&msg, &sig));
-    }
-    let verify_us = start.elapsed().as_secs_f64() * 1e6 / ver_iters as f64;
-    println!("1024-bit signature sign:        {sign_us:>10.1} us");
-    println!("1024-bit signature verify:      {verify_us:>10.1} us");
-    println!(
-        "sign / MAC ratio:               {:>10.0}x   (thesis: ~3 orders of magnitude)",
-        sign_us / mac_us
-    );
-}
-
-/// E-8.2.3: the wire cost model.
-pub fn run_e823() {
-    header("E-8.2.3", "communication model (configured parameters)");
-    let m = bft_net::CostModel::thesis_testbed();
-    println!(
-        "{:>10} {:>16} {:>16}",
-        "bytes", "one-way (us)", "round trip (us)"
-    );
-    for size in [64usize, 1024, 4096, 8192] {
-        let ow = m.one_way_us(size) + m.recv.eval(size);
-        println!("{:>10} {:>16.1} {:>16.1}", size, ow, 2.0 * ow);
-    }
-}
-
-/// E-8.3.1: micro-benchmark latency table (BFT vs BFT-PK vs unreplicated).
-pub fn run_e831() {
-    header(
-        "E-8.3.1",
-        "latency: 0/0, 4/0, 0/4 (virtual us; read-only and read-write)",
-    );
-    let model = bft_net::CostModel::thesis_testbed();
-    let unrep = |arg: usize, res: usize| {
-        model.one_way_us(arg + 64)
-            + model.recv.eval(arg + 64)
-            + model.execute_us
-            + model.one_way_us(res + 64)
-            + model.recv.eval(res + 64)
-    };
-    println!(
-        "{:<8} {:>12} {:>12} {:>12} {:>14} {:>10}",
-        "op", "BFT rw", "BFT ro", "BFT-PK rw", "unreplicated", "slowdown"
-    );
-    for (name, op) in [
-        ("0/0", MicroOp::zero_zero()),
-        ("4/0", MicroOp::four_zero()),
-        ("0/4", MicroOp::zero_four()),
-    ] {
-        let rw = scenarios::latency(op, AuthMode::Macs, Optimizations::all(), 40);
-        let ro = scenarios::latency(
-            MicroOp {
-                read_only: true,
-                ..op
-            },
-            AuthMode::Macs,
-            Optimizations::all(),
-            40,
-        );
-        let pk = scenarios::latency(op, AuthMode::Signatures, Optimizations::all(), 6);
-        let u = unrep(op.arg, op.result);
-        println!(
-            "{:<8} {:>12.0} {:>12.0} {:>12.0} {:>14.0} {:>9.1}x",
-            name,
-            rw.mean_us,
-            ro.mean_us,
-            pk.mean_us,
-            u,
-            rw.mean_us / u
-        );
-    }
-    println!("(shape check: ro < rw, BFT-PK >> BFT, slowdown vs unreplicated small constant)");
-}
-
-/// E-8.3.1-V: latency versus argument / result size.
-pub fn run_e831v() {
-    header(
-        "E-8.3.1-V",
-        "latency vs argument and result size (virtual us)",
-    );
-    println!("{:>10} {:>14} {:>14}", "KB", "arg-grow rw", "res-grow ro");
-    for kb in [0usize, 1, 2, 4, 8] {
-        let arg = scenarios::latency(
-            MicroOp {
-                arg: kb * 1024,
-                result: 0,
-                read_only: false,
-            },
-            AuthMode::Macs,
-            Optimizations::all(),
-            25,
-        );
-        let res = scenarios::latency(
-            MicroOp {
-                arg: 0,
-                result: kb * 1024,
-                read_only: true,
-            },
-            AuthMode::Macs,
-            Optimizations::all(),
-            25,
-        );
-        println!("{:>10} {:>14.0} {:>14.0}", kb, arg.mean_us, res.mean_us);
-    }
-}
-
-/// E-8.3.2: throughput versus number of clients.
-pub fn run_e832() {
-    header("E-8.3.2", "throughput vs clients (virtual ops/s)");
-    println!(
-        "{:>10} {:>12} {:>12} {:>12}",
-        "clients", "0/0", "4/0", "0/4 ro"
-    );
-    for clients in [1u32, 5, 10, 20, 40] {
-        let t00 = scenarios::throughput(MicroOp::zero_zero(), 1, clients, 60);
-        let t40 = scenarios::throughput(MicroOp::four_zero(), 1, clients, 30);
-        let t04 = scenarios::throughput(
-            MicroOp {
-                read_only: true,
-                ..MicroOp::zero_four()
-            },
-            1,
-            clients,
-            30,
-        );
-        println!(
-            "{:>10} {:>12.0} {:>12.0} {:>12.0}",
-            clients, t00.ops_per_sec, t40.ops_per_sec, t04.ops_per_sec
-        );
-    }
-}
-
-/// E-8.3.3: impact of each optimization (ablation).
-pub fn run_e833() {
-    header("E-8.3.3", "optimization ablation, 0/0 latency (virtual us)");
-    let base = scenarios::latency(
-        MicroOp::zero_zero(),
-        AuthMode::Macs,
-        Optimizations::all(),
-        40,
-    );
-    println!("{:<28} {:>12} {:>10}", "configuration", "latency", "vs all");
-    println!(
-        "{:<28} {:>12.0} {:>9.2}x",
-        "all optimizations", base.mean_us, 1.0
-    );
-    type OptTweak = fn(&mut Optimizations);
-    let variants: [(&str, OptTweak); 3] = [
-        ("no tentative execution", |o| o.tentative_execution = false),
-        ("no digest replies", |o| o.digest_replies = false),
-        ("no separate transmission", |o| {
-            o.separate_request_transmission = false
-        }),
-    ];
-    for (name, tweak) in variants {
-        let mut opts = Optimizations::all();
-        tweak(&mut opts);
-        let r = scenarios::latency(MicroOp::zero_zero(), AuthMode::Macs, opts, 40);
-        println!(
-            "{:<28} {:>12.0} {:>9.2}x",
-            name,
-            r.mean_us,
-            r.mean_us / base.mean_us
-        );
-    }
-    // Digest replies matter for large results; measure with 0/4.
-    let with = scenarios::latency(
-        MicroOp::zero_four(),
-        AuthMode::Macs,
-        Optimizations::all(),
-        25,
-    );
-    let mut no_dr = Optimizations::all();
-    no_dr.digest_replies = false;
-    let without = scenarios::latency(MicroOp::zero_four(), AuthMode::Macs, no_dr, 25);
-    println!(
-        "{:<28} {:>12.0} {:>9.2}x  (0/4: all replicas send 4KB)",
-        "0/4 without digest replies",
-        without.mean_us,
-        without.mean_us / with.mean_us
-    );
-    // Batching matters under load; measure throughput with 20 clients.
-    let batched = scenarios::throughput(MicroOp::zero_zero(), 1, 20, 50);
-    let mut cfg_unbatched = Optimizations::all();
-    cfg_unbatched.batching = false;
-    let unbatched = throughput_with_opts(MicroOp::zero_zero(), 20, 50, cfg_unbatched);
-    println!(
-        "{:<28} {:>12.0} ops/s vs {:.0} ops/s batched",
-        "no batching (20 clients)", unbatched, batched.ops_per_sec
-    );
-}
-
-fn throughput_with_opts(op: MicroOp, clients: u32, ops: u64, opts: Optimizations) -> f64 {
-    let mut config = scenarios::micro_config(1, clients);
-    config.replica.opts = opts;
-    config.replica.window = 32;
-    let mut cluster = bft_sim::mem_cluster(config, 64);
-    cluster.set_workload(bft_sim::OpGen::fixed(op.bytes(), op.read_only, ops));
-    let done = cluster.run_to_completion(bft_types::SimTime(1_200_000_000));
-    assert!(done);
-    cluster.metrics.throughput_ops_per_sec()
-}
-
-/// E-8.3.4: latency and throughput with more replicas.
-pub fn run_e834() {
-    header("E-8.3.4", "scaling with f (n = 3f+1), 0/0 (virtual)");
-    println!(
-        "{:>4} {:>4} {:>14} {:>16}",
-        "f", "n", "latency (us)", "thruput (ops/s)"
-    );
-    for f in [1usize, 2, 3, 4] {
-        let mut config = scenarios::micro_config(f, 1);
-        config.replica.window = 32;
-        let mut cluster = bft_sim::mem_cluster(config, 64);
-        cluster.set_workload(bft_sim::OpGen::fixed(
-            MicroOp::zero_zero().bytes(),
-            false,
-            30,
-        ));
-        assert!(cluster.run_to_completion(bft_types::SimTime(600_000_000)));
-        let lat = cluster.metrics.latency.mean_us();
-        let thr = scenarios::throughput(MicroOp::zero_zero(), f, 20, 40);
-        println!(
-            "{:>4} {:>4} {:>14.0} {:>16.0}",
-            f,
-            3 * f + 1,
-            lat,
-            thr.ops_per_sec
-        );
-    }
-}
-
-/// E-8.3.5: sensitivity to model parameters (analytic).
-pub fn run_e835() {
-    header(
-        "E-8.3.5",
-        "latency sensitivity to crypto and wire cost scaling (analytic, us)",
-    );
-    println!(
-        "{:>14} {:>14} {:>14}",
-        "scale", "crypto-scaled", "wire-scaled"
-    );
-    let base = bft_model::ModelParams::thesis(1);
-    for scale in [0.5f64, 1.0, 2.0, 4.0] {
-        let mut crypto = base;
-        crypto.digest.fixed_us *= scale;
-        crypto.digest.per_byte_us *= scale;
-        crypto.mac.fixed_us *= scale;
-        crypto.mac.per_byte_us *= scale;
-        let mut wire = base;
-        wire.wire.fixed_us *= scale;
-        wire.wire.per_byte_us *= scale;
-        wire.send.fixed_us *= scale;
-        wire.recv.fixed_us *= scale;
-        println!(
-            "{:>14.1} {:>14.0} {:>14.0}",
-            scale,
-            crypto.read_write_latency_us(0, 0),
-            wire.read_write_latency_us(0, 0)
-        );
-    }
-}
-
-/// E-8.4.1: checkpoint creation cost (real time, varying locality).
-pub fn run_e841() {
-    header(
-        "E-8.4.1",
-        "checkpoint creation cost vs modified pages (measured, real time)",
-    );
-    use bft_core::partition_tree::PartitionTree;
-    use bft_types::SeqNo;
-    let pages: Vec<bytes::Bytes> = (0..1024u64)
-        .map(|_| bytes::Bytes::from(vec![0u8; 4096]))
-        .collect();
-    println!("{:>16} {:>14}", "modified pages", "us/checkpoint");
-    for modified in [1usize, 16, 64, 256, 1024] {
-        let mut tree = PartitionTree::new(pages.clone(), 256);
-        let start = Instant::now();
-        let rounds = 20u64;
-        for r in 0..rounds {
-            for p in 0..modified {
-                tree.write_page(p as u64, bytes::Bytes::from(vec![r as u8; 4096]));
-            }
-            tree.checkpoint(SeqNo(r + 1));
-            tree.discard_below(SeqNo(r + 1));
-        }
-        let us = start.elapsed().as_secs_f64() * 1e6 / rounds as f64;
-        println!("{:>16} {:>14.0}", modified, us);
-    }
-    println!("(cost grows with modified pages, not state size — the §5.3.1 claim)");
-}
-
-/// E-8.4.2: state transfer volume/time versus lag.
-pub fn run_e842() {
-    header("E-8.4.2", "state transfer vs lag (virtual time)");
-    println!(
-        "{:>12} {:>10} {:>12} {:>14}",
-        "lag batches", "pages", "bytes", "time (ms)"
-    );
-    for lag in [24u64, 48, 96] {
-        let (pages, bytes, time) = scenarios::state_transfer_cost(lag, 2048);
-        println!(
-            "{:>12} {:>10} {:>12} {:>14.1}",
-            lag,
-            pages,
-            bytes,
-            time.as_millis_f64()
-        );
-    }
-}
-
-/// E-8.5: view-change interruption.
-pub fn run_e85() {
-    header("E-8.5", "view change: service interruption (virtual ms)");
-    for seed in [1u64, 2, 3] {
-        let gap = scenarios::view_change_interruption(seed);
-        println!("seed {seed}: interruption = {:.1} ms", gap.as_millis_f64());
-    }
-    println!("(interruption ≈ view-change timeout + protocol latency)");
-}
-
-/// E-8.6.2: Andrew benchmark, BFS vs unreplicated baseline.
-pub fn run_e862() {
-    header("E-8.6.2", "Andrew benchmark: BFS vs NFS-std (virtual ms)");
-    let cfg = AndrewConfig::default();
-    let bfs_ro = scenarios::andrew_replicated(&cfg, true, 1);
-    let bfs_rw = scenarios::andrew_replicated(&cfg, false, 1);
-    let base = scenarios::andrew_baseline(&cfg);
-    println!(
-        "{:<16} {:>12} {:>14} {:>12} {:>10}",
-        "phase", "BFS", "BFS(no ro)", "NFS-std", "BFS/std"
-    );
-    for i in 0..base.len() {
-        println!(
-            "{:<16} {:>12.1} {:>14.1} {:>12.1} {:>9.2}x",
-            base[i].0,
-            bfs_ro[i].1.as_millis_f64(),
-            bfs_rw[i].1.as_millis_f64(),
-            base[i].1.as_millis_f64(),
-            bfs_ro[i].1.as_micros() as f64 / base[i].1.as_micros().max(1) as f64
-        );
-    }
-    let t_bfs = scenarios::total(&bfs_ro).as_millis_f64();
-    let t_base = scenarios::total(&base).as_millis_f64();
-    println!(
-        "total: BFS {:.1} ms vs NFS-std {:.1} ms → {:+.1}% (thesis band: -2%..+24%)",
-        t_bfs,
-        t_base,
-        100.0 * (t_bfs - t_base) / t_base
-    );
-}
-
-/// E-8.6.3: recovery impact on throughput.
-pub fn run_e863() {
-    header(
-        "E-8.6.3",
-        "proactive recovery: throughput vs watchdog period (virtual)",
-    );
-    println!(
-        "{:>16} {:>12} {:>12} {:>12}",
-        "watchdog (s)", "recoveries", "ops done", "ops/s"
-    );
-    let horizon = SimDuration::from_secs(90);
-    let no_rec = scenarios::recovery_run(SimDuration::from_secs(100_000), horizon, 3);
-    println!(
-        "{:>16} {:>12} {:>12} {:>12.0}",
-        "off", no_rec.0, no_rec.1, no_rec.2
-    );
-    for watchdog_s in [45u64, 30, 15] {
-        let r = scenarios::recovery_run(SimDuration::from_secs(watchdog_s), horizon, 3);
-        println!("{:>16} {:>12} {:>12} {:>12.0}", watchdog_s, r.0, r.1, r.2);
-    }
-    println!("(shorter windows of vulnerability cost modest throughput — §8.6.3)");
-}
-
-/// E-7: analytic model predictions next to simulator measurements.
-pub fn run_e7() {
-    header(
-        "E-7",
-        "Chapter 7 model vs simulator (0/0, 4/0, 0/4 latency, us)",
-    );
-    let m = bft_model::ModelParams::thesis(1);
-    println!(
-        "{:<8} {:>12} {:>12} {:>10}",
-        "op", "model", "simulated", "ratio"
-    );
-    for (name, op) in [
-        ("0/0", MicroOp::zero_zero()),
-        ("4/0", MicroOp::four_zero()),
-        ("0/4", MicroOp::zero_four()),
-    ] {
-        let predicted = m.read_write_latency_us(op.arg, op.result);
-        let measured = scenarios::latency(op, AuthMode::Macs, Optimizations::all(), 40);
-        println!(
-            "{:<8} {:>12.0} {:>12.0} {:>10.2}",
-            name,
-            predicted,
-            measured.mean_us,
-            measured.mean_us / predicted
-        );
-    }
-    println!("(thesis: model within ~x2 of measurements; shape identical)");
-}
-
-/// Runs every experiment.
-pub fn run_all() {
-    run_e821();
-    run_e822();
-    run_e823();
-    run_e831();
-    run_e831v();
-    run_e832();
-    run_e833();
-    run_e834();
-    run_e835();
-    run_e841();
-    run_e842();
-    run_e85();
-    run_e862();
-    run_e863();
-    run_e7();
-}

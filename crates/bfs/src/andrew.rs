@@ -285,7 +285,7 @@ impl PathResolver {
     }
 }
 
-/// Runs the whole script directly against a local [`BfsService`] — the
+/// Runs the whole script directly against a local [`BfsService`](crate::service::BfsService) — the
 /// unreplicated NFS-std baseline of §8.6 (no protocol, one round trip of
 /// wire cost charged by the caller). Returns per-phase operation counts.
 pub fn run_unreplicated(

@@ -107,6 +107,11 @@ impl ClientProxy {
         self.pending.is_some()
     }
 
+    /// Retransmissions of the operation in flight so far (0 when idle).
+    pub fn pending_retransmissions(&self) -> u32 {
+        self.pending.as_ref().map_or(0, |p| p.retransmissions)
+    }
+
     /// Timestamp of the last issued request.
     pub fn last_timestamp(&self) -> Timestamp {
         self.last_t

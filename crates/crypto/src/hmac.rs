@@ -154,7 +154,7 @@ fn truncate(d: Digest) -> Tag {
 /// An owned, `Send` HMAC context for one key: the ipad/opad midstates
 /// precomputed once at construction.
 ///
-/// The thread-local [`PAD_CACHE`] serves the single-threaded protocol
+/// The thread-local `PAD_CACHE` serves the single-threaded protocol
 /// loop well, but a MAC worker pool wants per-key state it can build
 /// once, own outright, and use without a hash-map probe per MAC — each
 /// pool worker holds one context per peer key. Tags are bit-identical

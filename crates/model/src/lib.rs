@@ -5,9 +5,9 @@
 //! (§7.1.2), and communication (§7.1.3), each of the form
 //! `fixed + per_byte × size` — and derives predictions for read-only
 //! (§7.3.1) and read-write (§7.3.2) latency and throughput (§7.4). This
-//! crate reproduces those formulas; `bft-bench` compares them against
-//! simulator measurements (experiment E-7) exactly as §8.3 compares the
-//! thesis model against the testbed.
+//! crate reproduces those formulas; the live-path benchmark
+//! (`benchmark/`) compares its predictions against measured latency and
+//! throughput, as §8.3 compares the thesis model against the testbed.
 
 use serde::{Deserialize, Serialize};
 

@@ -6,9 +6,9 @@
 //! parameters on the testbed (600 MHz PIII, switched 100 Mb/s Ethernet).
 //! The simulator charges virtual time using the same model; defaults below
 //! are calibrated to the thesis's reported magnitudes so the regenerated
-//! figures have the paper's shape. `bft-bench` re-calibrates the crypto
-//! parameters from real Criterion measurements of our own primitives when
-//! asked (E-8.3.5 studies sensitivity to these parameters).
+//! figures have the paper's shape. The live-path benchmark (`benchmark/`)
+//! measures our own primitives (`crypto.mac_ns`, `crypto.digest_ns_per_kb`)
+//! for comparison.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,8 +1,8 @@
 //! Drives the BFS Andrew benchmark (§8.6) against the live runtime.
 //!
-//! Three ways to run the same [`bfs::ScriptedOp`] script, all producing
-//! the same per-phase report so the `andrew` benchmark can put them in
-//! one table:
+//! Two ways to run the same [`bfs::ScriptedOp`] script, both producing
+//! the same per-phase report so the benchmark can set one against the
+//! other:
 //!
 //! * [`run_andrew_mux`] — N logical clients over the multiplexed
 //!   [`crate::client::run_mux_sources`] driver against a replicated
@@ -13,9 +13,6 @@
 //!   unreplicated server ([`UnreplicatedServer`]) speaking plain
 //!   length-prefixed frames over TCP, N closed-loop connections sharing
 //!   the same scheduler. Same syscalls, same wire hops, no protocol.
-//! * [`run_andrew_direct`] — in-process sequential execution; measures
-//!   pure service cost with zero wire overhead (reported for
-//!   transparency, not as the paper's baseline).
 
 use crate::client::{run_mux_sources, NextOp, OpSource};
 use crate::config::Topology;
@@ -57,17 +54,6 @@ pub struct AndrewRun {
 }
 
 impl AndrewRun {
-    /// All latencies across phases, sorted ascending.
-    pub fn sorted_latencies_us(&self) -> Vec<u64> {
-        let mut all: Vec<u64> = self
-            .phases
-            .iter()
-            .flat_map(|p| p.latencies_us.iter().copied())
-            .collect();
-        all.sort_unstable();
-        all
-    }
-
     /// Aggregate throughput over the whole run.
     pub fn ops_per_sec(&self) -> f64 {
         if self.total_wall.is_zero() {
@@ -427,35 +413,6 @@ pub fn run_andrew_unreplicated_tcp(
     tally.into_run(total_wall, 0)
 }
 
-/// Runs the Andrew script sequentially against an in-process
-/// [`BfsService`] — zero wire cost, the floor every other configuration
-/// is compared to for transparency.
-pub fn run_andrew_direct(buckets: u64, script: Vec<ScriptedOp>, app_work: bool) -> AndrewRun {
-    let total = script.len();
-    let mut service = BfsService::new_realtime(buckets);
-    let mut sched = scheduler(script, app_work);
-    let mut tally = Tally::new();
-    let client = Requester::Client(ClientId(0));
-    let mut t = 0u64;
-    let started = Instant::now();
-    while let Some((idx, op, _read_only)) = sched.next_ready() {
-        let invoked = Instant::now();
-        tally.issue(sched.phase_of(idx), invoked);
-        t += 1;
-        let reply_bytes = service.execute(client, &op.encode(), &t.to_le_bytes());
-        let reply = NfsReply::decode(&reply_bytes).expect("well-formed reply");
-        sched.complete(idx, &reply);
-        tally.finish(sched.phase_of(idx), invoked.elapsed(), Instant::now());
-    }
-    let total_wall = started.elapsed();
-    assert!(
-        sched.is_finished(),
-        "direct run incomplete: {}/{total} ops",
-        sched.completed(),
-    );
-    tally.into_run(total_wall, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,13 +432,17 @@ mod tests {
         );
         assert_eq!(run.completed, total);
         assert_eq!(run.retransmitted, 0);
-        let direct = run_andrew_direct(8, script, true);
-        assert_eq!(direct.completed, total);
-        for (a, b) in run.phases.iter().zip(direct.phases.iter()) {
-            assert_eq!(a.phase, b.phase);
-            assert_eq!(a.ops, b.ops, "phase {} op count differs", a.phase);
+        assert_eq!(run.phases.len(), PHASES.len());
+        for (report, phase) in run.phases.iter().zip(PHASES) {
+            assert_eq!(report.phase, phase.name());
+            let scripted = script.iter().filter(|op| op.phase == phase).count() as u64;
+            assert_eq!(
+                report.ops, scripted,
+                "phase {} op count differs",
+                report.phase
+            );
+            assert_eq!(report.latencies_us.len() as u64, scripted);
         }
-        assert!(run.sorted_latencies_us().len() == total as usize);
         assert!(run.ops_per_sec() > 0.0);
     }
 

@@ -3,7 +3,7 @@
 //! Usage:
 //!   pbft-node --config cluster.conf --id 0 [--status-every SECS]
 //!             [--journal-file PATH]
-//!   pbft-node --example-config [F]        # print a starter config
+//!   pbft-node --example-config \[F\]      # print a starter config
 //!
 //! The replica listens on its topology address, dials its peers (with
 //! reconnect backoff), and serves the topology's `service` (the counter

@@ -1,6 +1,7 @@
-//! The real-network client: a [`bft_core::ClientProxy`] over the TCP
-//! transport, plus the open/closed-loop load generator `pbft-client`
-//! and the `realnet` benchmark share.
+//! The real-network client: [`bft_core::ClientProxy`]s over the TCP
+//! transport, driven by one multiplexed event loop that serves the load
+//! generator `pbft-client`, the tests, the chaos runner and the
+//! benchmark alike.
 //!
 //! The workload mix mirrors the benchmark and chaos campaigns: padded
 //! counter increments with a configurable sprinkle of read-only reads
@@ -100,6 +101,10 @@ pub struct ClientReport {
     pub completed: u64,
     /// Operations that needed at least one retransmission.
     pub retransmitted: u64,
+    /// Retransmissions of the operation still in flight when the driver
+    /// returned (0 if none): a client stuck on one op shows how often it
+    /// resent it, which `retransmitted` cannot.
+    pub pending_retransmissions: u32,
     /// Per-operation latency, microseconds, in completion order.
     pub latencies_us: Vec<u64>,
     /// `(timestamp, result)` per completed operation.
@@ -160,7 +165,8 @@ pub fn run_client(
     run_client_with(id, topo, workload, deadline, &ClientHooks::default())
 }
 
-/// [`run_client`] with chaos hooks attached.
+/// [`run_client`] with chaos hooks attached: the shared driver over the
+/// single slot `id`, with the workload as its [`OpSource`].
 pub fn run_client_with(
     id: ClientId,
     topo: &Topology,
@@ -168,117 +174,20 @@ pub fn run_client_with(
     deadline: Duration,
     hooks: &ClientHooks,
 ) -> ClientReport {
-    let keys = topo.keys();
-    let mut client_config = topo.client_config();
-    if let Some(rt) = workload.retransmit {
-        client_config.retransmit_timeout = SimDuration::from_micros(rt.as_micros() as u64);
-    }
-    let mut proxy = ClientProxy::new(id, client_config, &keys);
-    let mut endpoint = client_endpoint(vec![NodeId::Client(id)], topo, hooks.faults.clone());
-    let mut inbox = Vec::new();
-    let mut timers = RtTimers::<TimerId>::new();
-    let mut storm_seen = hooks.storm.as_ref().map(|s| s.epoch(id)).unwrap_or(0);
-
-    let started = Instant::now();
-    let hard_deadline = started + deadline;
-    let mut report = ClientReport {
-        client: id,
-        completed: 0,
-        retransmitted: 0,
-        latencies_us: Vec::with_capacity(workload.ops as usize),
-        results: Vec::with_capacity(workload.ops as usize),
-        wall: Duration::ZERO,
+    let mut source = WorkloadSource {
+        workload,
+        next_k: 0,
+        started: Instant::now(),
     };
-
-    'ops: for k in 0..workload.ops {
-        // Pacing.
-        match workload.mode {
-            LoadMode::Closed { think } => {
-                if k > 0 && !think.is_zero() {
-                    std::thread::sleep(think);
-                }
-            }
-            LoadMode::Open { interval } => {
-                let slot = started + interval * (k as u32);
-                let now = Instant::now();
-                if slot > now {
-                    std::thread::sleep(slot - now);
-                }
-            }
-        }
-        let (op, read_only) = workload.op(k);
-        let invoked = Instant::now();
-        let actions = proxy.invoke(op, read_only);
-        apply_client_actions(actions, &mut endpoint, &mut timers, topo.replicas.len());
-
-        // Wait for the reply certificate.
-        let done: Option<CompletedOp> = 'wait: loop {
-            if Instant::now() >= hard_deadline {
-                break None;
-            }
-            // A storm epoch bump force-fires every armed timer: the
-            // in-flight request rebroadcasts immediately, synchronized
-            // across every client the storm covers.
-            if let Some(storm) = &hooks.storm {
-                let epoch = storm.epoch(id);
-                if epoch != storm_seen {
-                    storm_seen = epoch;
-                    let mut finished = None;
-                    for timer in timers.drain_armed() {
-                        let (actions, done) = proxy.on_input(Input::Timer(timer));
-                        apply_client_actions(
-                            actions,
-                            &mut endpoint,
-                            &mut timers,
-                            topo.replicas.len(),
-                        );
-                        finished = finished.or(done);
-                    }
-                    if finished.is_some() {
-                        break finished;
-                    }
-                }
-            }
-            // Client retransmission timer.
-            if let Some(timer) = timers.pop_due() {
-                let (actions, done) = proxy.on_input(Input::Timer(timer));
-                apply_client_actions(actions, &mut endpoint, &mut timers, topo.replicas.len());
-                if done.is_some() {
-                    break done;
-                }
-            }
-            endpoint.flush();
-            endpoint.poll(poll_wait(&mut timers), &mut inbox);
-            for payload in inbox.drain(..) {
-                let mut slice = payload.as_slice();
-                let Ok(msg) = Message::decode(&mut slice) else {
-                    continue;
-                };
-                let (actions, done) = proxy.on_input(Input::Deliver(msg));
-                apply_client_actions(actions, &mut endpoint, &mut timers, topo.replicas.len());
-                if done.is_some() {
-                    break 'wait done;
-                }
-            }
-        };
-        match done {
-            Some(op) => {
-                report.completed += 1;
-                if op.retransmissions > 0 {
-                    report.retransmitted += 1;
-                }
-                report
-                    .latencies_us
-                    .push(invoked.elapsed().as_micros() as u64);
-                report.results.push((op.timestamp, op.result.to_vec()));
-            }
-            None => break 'ops, // Deadline: report what we have.
-        }
-    }
-    report.wall = started.elapsed();
-    endpoint.flush();
-    endpoint.shutdown();
-    report
+    let mut reports = drive(
+        &[id],
+        topo,
+        &mut source,
+        workload.retransmit,
+        deadline,
+        hooks,
+    );
+    reports.pop().expect("one report per slot")
 }
 
 /// One instruction from an [`OpSource`] to the multiplexed driver.
@@ -299,9 +208,9 @@ pub enum NextOp {
     Finished,
 }
 
-/// A supply of operations for [`run_mux_sources`] — the seam that lets
-/// the multiplexed driver run both the counter benchmark mix and the
-/// BFS Andrew script without duplicating the event loop.
+/// A supply of operations for the multiplexed driver — the seam that
+/// lets one event loop run the counter workload mix, the BFS Andrew
+/// script and the benchmark's own sources.
 pub trait OpSource {
     /// Next instruction for idle slot `slot`.
     fn next(&mut self, slot: usize, now: Instant) -> NextOp;
@@ -312,7 +221,42 @@ pub trait OpSource {
     fn finished(&self) -> bool;
 }
 
-/// Drives many logical clients from ONE thread over ONE transport.
+/// One client's counter workload as an [`OpSource`]: an op cursor over
+/// [`Workload::op`], with closed/open-loop pacing.
+struct WorkloadSource<'a> {
+    workload: &'a Workload,
+    next_k: u64,
+    started: Instant,
+}
+
+impl OpSource for WorkloadSource<'_> {
+    fn next(&mut self, _slot: usize, _now: Instant) -> NextOp {
+        if self.finished() {
+            return NextOp::Finished;
+        }
+        let (op, read_only) = self.workload.op(self.next_k);
+        NextOp::Invoke {
+            op,
+            read_only,
+            tag: self.next_k,
+        }
+    }
+
+    fn done(&mut self, _slot: usize, _tag: u64, _op: &CompletedOp, _lat: Duration) -> Instant {
+        self.next_k += 1;
+        match self.workload.mode {
+            LoadMode::Closed { think } => Instant::now() + think,
+            LoadMode::Open { interval } => self.started + interval * (self.next_k as u32),
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.next_k >= self.workload.ops
+    }
+}
+
+/// Drives many logical clients from ONE thread over ONE transport, with
+/// an [`OpSource`] deciding what each idle client invokes next.
 ///
 /// The endpoint greets as every client id, so all of them share the
 /// same four sockets: requests from different clients coalesce into
@@ -321,57 +265,9 @@ pub trait OpSource {
 /// keeps the per-client socket and wake-up cost out of the load
 /// generator, which is what lets the benchmark drive high client counts
 /// without the generator itself becoming the bottleneck. Protocol
-/// semantics are unchanged — each logical
-/// client is a full [`ClientProxy`] with its own timestamps,
-/// retransmission timer, and reply certificate.
-pub fn run_mux_clients(
-    ids: &[ClientId],
-    topo: &Topology,
-    workload: &Workload,
-    deadline: Duration,
-) -> Vec<ClientReport> {
-    /// The counter benchmark mix as an [`OpSource`]: per-slot op cursors
-    /// over [`Workload::op`], with closed/open-loop pacing.
-    struct WorkloadSource<'a> {
-        workload: &'a Workload,
-        next_k: Vec<u64>,
-        started: Instant,
-    }
-    impl OpSource for WorkloadSource<'_> {
-        fn next(&mut self, slot: usize, _now: Instant) -> NextOp {
-            let k = self.next_k[slot];
-            if k >= self.workload.ops {
-                return NextOp::Finished;
-            }
-            let (op, read_only) = self.workload.op(k);
-            NextOp::Invoke {
-                op,
-                read_only,
-                tag: k,
-            }
-        }
-        fn done(&mut self, slot: usize, _tag: u64, _op: &CompletedOp, _lat: Duration) -> Instant {
-            self.next_k[slot] += 1;
-            match self.workload.mode {
-                LoadMode::Closed { think } => Instant::now() + think,
-                LoadMode::Open { interval } => self.started + interval * (self.next_k[slot] as u32),
-            }
-        }
-        fn finished(&self) -> bool {
-            self.next_k.iter().all(|&k| k >= self.workload.ops)
-        }
-    }
-    let mut source = WorkloadSource {
-        workload,
-        next_k: vec![0; ids.len()],
-        started: Instant::now(),
-    };
-    run_mux_sources(ids, topo, &mut source, workload.retransmit, deadline)
-}
-
-/// The generic multiplexed driver behind [`run_mux_clients`]: one thread,
-/// one multi-identity transport, one timer wheel, and an [`OpSource`]
-/// deciding what each idle logical client invokes next.
+/// semantics are unchanged — each logical client is a full
+/// [`ClientProxy`] with its own timestamps, retransmission timer, and
+/// reply certificate.
 pub fn run_mux_sources(
     ids: &[ClientId],
     topo: &Topology,
@@ -379,73 +275,145 @@ pub fn run_mux_sources(
     retransmit: Option<Duration>,
     deadline: Duration,
 ) -> Vec<ClientReport> {
-    struct Slot {
-        proxy: ClientProxy,
-        report: ClientReport,
-        /// Invocation time and tag of the in-flight op (None = idle).
-        invoked: Option<(Instant, u64)>,
-        /// Earliest time the next op may be invoked (pacing).
-        ready_at: Instant,
-        /// The source reported this slot has no further work.
-        halted: bool,
+    drive(
+        ids,
+        topo,
+        source,
+        retransmit,
+        deadline,
+        &ClientHooks::default(),
+    )
+}
+
+/// One logical client of the driver.
+struct Slot {
+    proxy: ClientProxy,
+    report: ClientReport,
+    /// Invocation time and tag of the in-flight op (None = idle).
+    invoked: Option<(Instant, u64)>,
+    /// Earliest time the next op may be invoked (pacing).
+    ready_at: Instant,
+    /// The source reported this slot has no further work.
+    halted: bool,
+    /// The last retransmission-storm epoch this client acted on.
+    storm_seen: u64,
+}
+
+impl Slot {
+    fn new(client: ClientId, proxy: ClientProxy, ready_at: Instant, storm_seen: u64) -> Slot {
+        Slot {
+            report: ClientReport {
+                client,
+                completed: 0,
+                retransmitted: 0,
+                pending_retransmissions: 0,
+                latencies_us: Vec::new(),
+                results: Vec::new(),
+                wall: Duration::ZERO,
+            },
+            proxy,
+            invoked: None,
+            ready_at,
+            halted: false,
+            storm_seen,
+        }
     }
 
-    /// Books a completed op into its slot and paces the next invocation.
-    fn record_completion(slot: &mut Slot, i: usize, source: &mut dyn OpSource, done: CompletedOp) {
-        let (invoked, tag) = slot.invoked.take().expect("completion without invocation");
+    /// Feeds `input` to the proxy of slot `i` (this one), applies what it
+    /// emits, and books a completion into the report.
+    fn step(&mut self, i: usize, input: Input, io: &mut Io, source: &mut dyn OpSource) {
+        let (actions, done) = self.proxy.on_input(input);
+        io.apply(i, actions);
+        let Some(done) = done else { return };
+        let (invoked, tag) = self.invoked.take().expect("completion without invocation");
         let latency = invoked.elapsed();
-        slot.report.completed += 1;
+        self.report.completed += 1;
         if done.retransmissions > 0 {
-            slot.report.retransmitted += 1;
+            self.report.retransmitted += 1;
         }
-        slot.report.latencies_us.push(latency.as_micros() as u64);
-        slot.report
+        self.report.latencies_us.push(latency.as_micros() as u64);
+        self.report
             .results
             .push((done.timestamp, done.result.to_vec()));
-        slot.ready_at = source.done(i, tag, &done, latency);
+        self.ready_at = source.done(i, tag, &done, latency);
     }
+}
 
+/// The driver's I/O: one endpoint for every identity, and one timer
+/// wheel whose ids are namespaced by slot index.
+struct Io {
+    endpoint: Endpoint,
+    timers: RtTimers<(usize, TimerId)>,
+    n: usize,
+}
+
+impl Io {
+    fn apply(&mut self, slot: usize, actions: Vec<Action>) {
+        for action in actions {
+            match action {
+                Action::Send { to, msg } => dispatch_send(&mut self.endpoint, to, &msg, self.n),
+                Action::SetTimer { id, after } => self.timers.set((slot, id), after),
+                Action::CancelTimer { id } => self.timers.cancel((slot, id)),
+            }
+        }
+    }
+}
+
+/// The one client event loop behind [`run_client_with`] and
+/// [`run_mux_sources`]: fire storms and due timers, invoke on every idle
+/// ready slot, flush, poll, step every reply.
+fn drive(
+    ids: &[ClientId],
+    topo: &Topology,
+    source: &mut dyn OpSource,
+    retransmit: Option<Duration>,
+    deadline: Duration,
+    hooks: &ClientHooks,
+) -> Vec<ClientReport> {
     let keys = topo.keys();
     let mut client_config = topo.client_config();
     if let Some(rt) = retransmit {
         client_config.retransmit_timeout = SimDuration::from_micros(rt.as_micros() as u64);
     }
     let identities = ids.iter().map(|&c| NodeId::Client(c)).collect();
-    let mut endpoint = client_endpoint(identities, topo, None);
+    let mut io = Io {
+        endpoint: client_endpoint(identities, topo, hooks.faults.clone()),
+        timers: RtTimers::new(),
+        n: topo.replicas.len(),
+    };
     let mut inbox = Vec::new();
-    let n = topo.replicas.len();
-    let mut timers = RtTimers::<(usize, TimerId)>::new();
 
     let started = Instant::now();
     let hard_deadline = started + deadline;
     let mut slots: Vec<Slot> = ids
         .iter()
-        .map(|&c| Slot {
-            proxy: ClientProxy::new(c, client_config.clone(), &keys),
-            report: ClientReport {
-                client: c,
-                completed: 0,
-                retransmitted: 0,
-                latencies_us: Vec::new(),
-                results: Vec::new(),
-                wall: Duration::ZERO,
-            },
-            invoked: None,
-            ready_at: started,
-            halted: false,
+        .map(|&c| {
+            let epoch = hooks.storm.as_ref().map_or(0, |s| s.epoch(c));
+            let proxy = ClientProxy::new(c, client_config.clone(), &keys);
+            Slot::new(c, proxy, started, epoch)
         })
         .collect();
     let index: std::collections::HashMap<ClientId, usize> =
         ids.iter().enumerate().map(|(i, &c)| (c, i)).collect();
 
     while !source.finished() && Instant::now() < hard_deadline {
-        // Fire due client retransmission timers.
-        while let Some((i, tid)) = timers.pop_due() {
-            let (actions, done) = slots[i].proxy.on_input(Input::Timer(tid));
-            apply_mux_actions(i, actions, &mut endpoint, &mut timers, n);
-            if let Some(done) = done {
-                record_completion(&mut slots[i], i, source, done);
+        // A storm epoch bump force-fires the client's armed timers: its
+        // in-flight request rebroadcasts immediately, synchronized
+        // across every client the storm covers.
+        if let Some(storm) = &hooks.storm {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                let epoch = storm.epoch(slot.report.client);
+                if epoch != slot.storm_seen {
+                    slot.storm_seen = epoch;
+                    for (_, tid) in io.timers.drain_armed(|&(s, _)| s == i) {
+                        slot.step(i, Input::Timer(tid), &mut io, source);
+                    }
+                }
             }
+        }
+        // Fire due client retransmission timers.
+        while let Some((i, tid)) = io.timers.pop_due() {
+            slots[i].step(i, Input::Timer(tid), &mut io, source);
         }
         // Invoke the next op on every idle, ready client.
         let now = Instant::now();
@@ -457,7 +425,7 @@ pub fn run_mux_sources(
                 NextOp::Invoke { op, read_only, tag } => {
                     slot.invoked = Some((Instant::now(), tag));
                     let actions = slot.proxy.invoke(op, read_only);
-                    apply_mux_actions(i, actions, &mut endpoint, &mut timers, n);
+                    io.apply(i, actions);
                 }
                 NextOp::Wait => {}
                 NextOp::Finished => slot.halted = true,
@@ -465,8 +433,9 @@ pub fn run_mux_sources(
         }
         // Send what this round produced, then take every reply that is
         // ready in one wake-up.
-        endpoint.flush();
-        endpoint.poll(poll_wait(&mut timers), &mut inbox);
+        io.endpoint.flush();
+        let wait = poll_wait(&mut io.timers, next_wake(&slots, now));
+        io.endpoint.poll(wait, &mut inbox);
         for payload in inbox.drain(..) {
             let mut slice = payload.as_slice();
             let Ok(msg) = Message::decode(&mut slice) else {
@@ -480,22 +449,22 @@ pub fn run_mux_sources(
                 _ => None,
             };
             if let Some(i) = target {
-                let (actions, done) = slots[i].proxy.on_input(Input::Deliver(msg));
-                apply_mux_actions(i, actions, &mut endpoint, &mut timers, n);
-                if let Some(done) = done {
-                    record_completion(&mut slots[i], i, source, done);
-                }
+                slots[i].step(i, Input::Deliver(msg), &mut io, source);
             }
         }
     }
 
     let wall = started.elapsed();
-    for slot in &mut slots {
-        slot.report.wall = wall;
-    }
-    endpoint.flush();
-    endpoint.shutdown();
-    slots.into_iter().map(|s| s.report).collect()
+    io.endpoint.flush();
+    io.endpoint.shutdown();
+    slots
+        .into_iter()
+        .map(|s| ClientReport {
+            wall,
+            pending_retransmissions: s.proxy.pending_retransmissions(),
+            ..s.report
+        })
+        .collect()
 }
 
 /// Runs one worker thread per id in `ids` and collects every worker's
@@ -549,44 +518,29 @@ fn client_endpoint(
     Endpoint::new(identities, None, peers, faults).expect("open client endpoint")
 }
 
-/// How long a driver may sleep in `poll`: until its next retransmission
-/// timer, and never more than 20 ms (pacing and storms are checked
-/// between polls).
-fn poll_wait<T: Copy + Eq + std::hash::Hash>(timers: &mut RtTimers<T>) -> Duration {
+/// The earliest pacing instant still ahead of `now` among idle, unhalted
+/// slots: it bounds the poll, so `Closed { think }` and `Open { interval }`
+/// pacing wake on time. A `ready_at` already past never shortens the
+/// wait — that slot was offered an invocation at `now` and its source
+/// answered `Wait`, so waking for it would only spin the loop — and a
+/// slot with an op in flight wakes on its reply or its timer instead.
+fn next_wake(slots: &[Slot], now: Instant) -> Option<Instant> {
+    slots
+        .iter()
+        .filter(|s| !s.halted && s.invoked.is_none() && s.ready_at > now)
+        .map(|s| s.ready_at)
+        .min()
+}
+
+/// How long the driver may sleep in `poll`: until its next
+/// retransmission timer or paced invocation (`wake`), and never more
+/// than 20 ms (storms and `Wait` answers are rechecked between polls).
+fn poll_wait(timers: &mut RtTimers<(usize, TimerId)>, wake: Option<Instant>) -> Duration {
     let idle = Duration::from_millis(20);
-    timers.until_next().unwrap_or(idle).min(idle)
-}
-
-fn apply_client_actions(
-    actions: Vec<Action>,
-    endpoint: &mut Endpoint,
-    timers: &mut RtTimers<TimerId>,
-    n: usize,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => dispatch_send(endpoint, to, &msg, n),
-            Action::SetTimer { id, after } => timers.set(id, after),
-            Action::CancelTimer { id } => timers.cancel(id),
-        }
-    }
-}
-
-/// [`apply_client_actions`] for the multiplexed driver: timer ids are
-/// namespaced by the slot index so many proxies share one timer wheel.
-fn apply_mux_actions(
-    slot: usize,
-    actions: Vec<Action>,
-    endpoint: &mut Endpoint,
-    timers: &mut RtTimers<(usize, TimerId)>,
-    n: usize,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => dispatch_send(endpoint, to, &msg, n),
-            Action::SetTimer { id, after } => timers.set((slot, id), after),
-            Action::CancelTimer { id } => timers.cancel((slot, id)),
-        }
+    let timer = timers.until_next().unwrap_or(idle).min(idle);
+    match wake {
+        Some(at) => timer.min(at.saturating_duration_since(Instant::now())),
+        None => timer,
     }
 }
 
@@ -651,6 +605,7 @@ mod tests {
             client: ClientId(0),
             completed: 4,
             retransmitted: 0,
+            pending_retransmissions: 0,
             latencies_us: vec![40, 10, 30, 20],
             results: Vec::new(),
             wall: Duration::from_secs(2),
@@ -662,5 +617,40 @@ mod tests {
         assert!((r.ops_per_sec() - 2.0).abs() < 1e-9);
         r.latencies_us.clear();
         assert_eq!(r.latency_percentile_us(0.5), 0);
+    }
+
+    /// The poll-deadline rule: a future `ready_at` of an idle slot bounds
+    /// the wait; a past one, a slot with an op in flight or a halted slot
+    /// does not.
+    #[test]
+    fn paced_slot_bounds_the_poll_wait() {
+        let topo = Topology::localhost(1, 1, 1);
+        let keys = topo.keys();
+        let now = Instant::now();
+        let slot = |ready_at| {
+            let proxy = ClientProxy::new(ClientId(0), topo.client_config(), &keys);
+            Slot::new(ClientId(0), proxy, ready_at, 0)
+        };
+        let mut timers = RtTimers::<(usize, TimerId)>::new();
+        let soon = now + Duration::from_millis(5);
+
+        let paced = [slot(now - Duration::from_millis(1)), slot(soon)];
+        assert_eq!(next_wake(&paced, now), Some(soon));
+        assert!(poll_wait(&mut timers, next_wake(&paced, now)) <= Duration::from_millis(5));
+
+        let past = [slot(now), slot(now - Duration::from_millis(1))];
+        assert_eq!(next_wake(&past, now), None);
+        assert_eq!(poll_wait(&mut timers, None), Duration::from_millis(20));
+
+        let mut busy = slot(soon);
+        busy.invoked = Some((now, 0));
+        let mut halted = slot(soon);
+        halted.halted = true;
+        assert_eq!(next_wake(&[busy, halted], now), None);
+
+        // An armed timer due before the paced slot still wins.
+        timers.set((0, TimerId::ClientRetransmit), SimDuration::from_millis(1));
+        let wait = poll_wait(&mut timers, Some(now + Duration::from_secs(1)));
+        assert!(wait <= Duration::from_millis(1), "{wait:?}");
     }
 }

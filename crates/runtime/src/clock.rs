@@ -87,12 +87,12 @@ impl<T: Copy + Eq + Hash> RtTimers<T> {
         self.keys.len()
     }
 
-    /// Disarms and returns every armed timer, due or not. The chaos
-    /// runner's retransmission storms force a client's armed timers to
-    /// fire at once, the live analogue of the simulator's
+    /// Disarms and returns every armed timer that `pick` selects, due or
+    /// not. The chaos runner's retransmission storms force a client's
+    /// armed timers to fire at once, the live analogue of the simulator's
     /// `ClientRetransmitNow` fault.
-    pub fn drain_armed(&mut self) -> Vec<T> {
-        let ids: Vec<T> = self.keys.keys().copied().collect();
+    pub fn drain_armed(&mut self, pick: impl Fn(&T) -> bool) -> Vec<T> {
+        let ids: Vec<T> = self.keys.keys().copied().filter(|id| pick(id)).collect();
         for id in &ids {
             if let Some(key) = self.keys.remove(id) {
                 self.wheel.cancel(key);
@@ -147,7 +147,9 @@ mod tests {
         let mut t = RtTimers::new();
         t.set('a', SimDuration::from_secs(3600));
         t.set('b', SimDuration::from_secs(7200));
-        let mut drained = t.drain_armed();
+        t.set('c', SimDuration::from_secs(7200));
+        assert_eq!(t.drain_armed(|&id| id == 'c'), vec!['c']);
+        let mut drained = t.drain_armed(|_| true);
         drained.sort_unstable();
         assert_eq!(drained, vec!['a', 'b']);
         assert_eq!(t.armed(), 0);

@@ -29,13 +29,15 @@
 //!   payload, flush once. A node runs at most `2 + workers` threads: the
 //!   loop, the dialer, and the optional [`pool::MacPool`] workers, whose
 //!   results wake the same loop.
-//! * [`client`] — the load generator (`pbft-client`): open- or
-//!   closed-loop clients over the same transport, reusing the benchmark
-//!   workload mix (writes with a read-only sprinkle).
+//! * [`client`] — the client event loop: any number of logical clients
+//!   multiplexed over one endpoint on one thread, fed by an
+//!   [`client::OpSource`] (open- or closed-loop counter workload, the
+//!   Andrew script, the benchmark's sources). `pbft-client` is built on
+//!   it.
 //! * [`config`] — the cluster topology file shared by both binaries.
 //! * [`loopback`] — [`loopback::LoopbackCluster`]: an f=1 cluster on
 //!   127.0.0.1 ephemeral ports inside one process, used by the
-//!   integration tests and the `realnet` benchmark.
+//!   integration tests, the live chaos runner and the benchmark.
 //! * [`inject`] — [`inject::FaultPlane`]: chaos-mode fault injection on
 //!   the endpoint's send path (partitions, isolation, per-link
 //!   loss/jitter/duplication), consulted once per frame; delayed and
@@ -62,12 +64,11 @@ pub mod pool;
 pub mod transport;
 
 pub use bfs_driver::{
-    run_andrew_direct, run_andrew_mux, run_andrew_unreplicated_tcp, AndrewRun, PhaseReport,
-    UnreplicatedServer,
+    run_andrew_mux, run_andrew_unreplicated_tcp, AndrewRun, PhaseReport, UnreplicatedServer,
 };
 pub use client::{
-    run_client, run_client_with, run_mux_clients, run_mux_sources, run_workers, ClientHooks,
-    ClientReport, LoadMode, NextOp, OpSource, Workload,
+    run_client, run_client_with, run_mux_sources, run_workers, ClientHooks, ClientReport, LoadMode,
+    NextOp, OpSource, Workload,
 };
 pub use clock::RtTimers;
 pub use config::{ConfigError, ConfigErrorKind, ServiceKind, StorageKind, Topology};

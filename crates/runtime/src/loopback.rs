@@ -227,43 +227,6 @@ impl LoopbackCluster {
         reports
     }
 
-    /// [`LoopbackCluster::run_clients`] with the multiplexed driver:
-    /// `clients` logical clients split across `groups` driver threads
-    /// (see [`crate::client::run_mux_clients`]). Worker panics are
-    /// collected, not poisoned, exactly like `run_clients`.
-    pub fn run_clients_mux(
-        &self,
-        clients: u32,
-        groups: usize,
-        workload: Workload,
-        deadline: Duration,
-    ) -> Vec<ClientReport> {
-        let ids: Vec<ClientId> = (0..clients).map(ClientId).collect();
-        let chunks: Vec<&[ClientId]> = ids.chunks(ids.len().div_ceil(groups.max(1))).collect();
-        let group_ids: Vec<ClientId> = (0..chunks.len() as u32).map(ClientId).collect();
-        let outcomes = run_workers(&group_ids, |g| {
-            crate::client::run_mux_clients(chunks[g.0 as usize], &self.topo, &workload, deadline)
-        });
-        let mut reports = Vec::with_capacity(clients as usize);
-        let mut failures = Vec::new();
-        for (g, outcome) in outcomes {
-            match outcome {
-                Ok(group_reports) => reports.extend(group_reports),
-                Err(why) => failures.push(format!("client group {} panicked: {why}", g.0)),
-            }
-        }
-        assert!(
-            failures.is_empty(),
-            "{}/{} client driver groups died ({} client reports collected): {}",
-            failures.len(),
-            chunks.len(),
-            reports.len(),
-            failures.join("; ")
-        );
-        reports.sort_by_key(|r| r.client.0);
-        reports
-    }
-
     /// Kills replica `r` abruptly (fail-stop).
     pub fn kill(&mut self, r: ReplicaId) {
         if let Some(mut node) = self.nodes[r.0 as usize].take() {

@@ -9,7 +9,7 @@
 //!
 //! * **Inbound:** [`MacPool::verify`] stamps a payload with a token and
 //!   round-robins it to a worker, which decodes its own copy, runs
-//!   [`bft_core::preverify`] against its own [`AuthState`] (same
+//!   [`bft_core::preverify()`] against its own [`AuthState`] (same
 //!   deterministic [`ClusterKeys`], so key tables agree), and returns
 //!   the verdict. [`MacPool::verified`] releases verdicts in token
 //!   order, so the replica consumes inputs in exact arrival order: the

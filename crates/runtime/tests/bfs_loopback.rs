@@ -9,9 +9,9 @@
 //! convergence oracle then requires all four replicas to agree on the
 //! journals and the state digest.
 
-use bfs::{generate_script, AndrewConfig, NfsOp, NfsReply};
+use bfs::{generate_script, AndrewConfig, NfsOp, NfsReply, ScriptedOp};
 use bft_net::LinkProfile;
-use bft_runtime::bfs_driver::run_andrew_mux;
+use bft_runtime::bfs_driver::{run_andrew_mux, AndrewRun};
 use bft_runtime::client::{run_mux_sources, NextOp, OpSource};
 use bft_runtime::config::ServiceKind;
 use bft_runtime::inject::FaultPlane;
@@ -23,6 +23,47 @@ use std::time::{Duration, Instant};
 
 /// Overall per-test deadline: generous for slow CI machines.
 const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Every replica's view, progress and view-change counters: each
+/// client-side assertion prints it, so a stalled run explains itself.
+fn replica_dump(cluster: &LoopbackCluster) -> String {
+    cluster
+        .snapshots()
+        .iter()
+        .map(|s| {
+            format!(
+                "  r{}: view={} view_active={} last_exec={} committed_frontier={} \
+                 view_changes_started={} views_entered={} exec_blocker={}",
+                s.id.0,
+                s.view,
+                s.view_active,
+                s.last_exec.0,
+                s.committed_frontier.0,
+                s.stats.view_changes_started,
+                s.stats.views_entered,
+                s.exec_blocker
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// [`run_andrew_mux`] with four clients; an incomplete run's panic is
+/// re-raised with the replica dump appended.
+fn run_andrew(cluster: &LoopbackCluster, script: Vec<ScriptedOp>, read_only: bool) -> AndrewRun {
+    let ids: Vec<ClientId> = (0..4).map(ClientId).collect();
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_andrew_mux(&ids, cluster.topology(), script, read_only, false, DEADLINE)
+    }));
+    run.unwrap_or_else(|why| {
+        let why = why
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| why.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        panic!("{why}\n{}", replica_dump(cluster))
+    })
+}
 
 fn bfs_cluster(clients: u32, tentative: bool) -> LoopbackCluster {
     LoopbackCluster::start_with(1, clients, |topo| {
@@ -36,9 +77,13 @@ fn andrew_script_completes_over_tcp_and_replicas_converge() {
     let cluster = bfs_cluster(4, true);
     let script = generate_script(&AndrewConfig::tiny());
     let total = script.len() as u64;
-    let ids: Vec<ClientId> = (0..4).map(ClientId).collect();
-    let run = run_andrew_mux(&ids, cluster.topology(), script, true, false, DEADLINE);
-    assert_eq!(run.completed, total, "every scripted op completes");
+    let run = run_andrew(&cluster, script, true);
+    assert_eq!(
+        run.completed,
+        total,
+        "every scripted op completes\n{}",
+        replica_dump(&cluster)
+    );
     let per_phase: u64 = run.phases.iter().map(|p| p.ops).sum();
     assert_eq!(per_phase, total, "phase accounting covers every op");
     let snaps = cluster
@@ -57,9 +102,8 @@ fn andrew_script_without_fast_paths_completes_and_converges() {
     let cluster = bfs_cluster(4, false);
     let script = generate_script(&AndrewConfig::tiny());
     let total = script.len() as u64;
-    let ids: Vec<ClientId> = (0..4).map(ClientId).collect();
-    let run = run_andrew_mux(&ids, cluster.topology(), script, false, false, DEADLINE);
-    assert_eq!(run.completed, total);
+    let run = run_andrew(&cluster, script, false);
+    assert_eq!(run.completed, total, "{}", replica_dump(&cluster));
     let snaps = cluster
         .wait_converged(Duration::from_secs(60))
         .expect("replicas converge with fast paths disabled");
@@ -168,7 +212,13 @@ fn read_only_starved_of_quorum_is_demoted_and_completes_exactly_once() {
         DEADLINE,
     );
     assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].completed, 3, "all three ops complete");
+    assert_eq!(
+        reports[0].completed,
+        3,
+        "all three ops complete (pending_retransmissions={})\n{}",
+        reports[0].pending_retransmissions,
+        replica_dump(&cluster)
+    );
     assert_eq!(source.completions.len(), 3);
 
     let (getattr, retrans) = &source.completions[0];

@@ -9,12 +9,15 @@
 //! execution shows up in the client's own result stream, not just in
 //! replica state.
 
-use bft_runtime::client::{run_client, run_workers, ClientReport, LoadMode, Workload};
+use bft_runtime::client::{
+    run_client, run_client_with, run_workers, ClientHooks, ClientReport, LoadMode, Workload,
+};
 use bft_runtime::config::Topology;
 use bft_runtime::loopback::LoopbackCluster;
-use bft_runtime::node::spawn_counter_replica;
-use bft_types::{ClientId, ReplicaId};
-use std::time::Duration;
+use bft_runtime::node::{spawn_counter_replica, NodeHandle, Snapshot};
+use bft_runtime::{FaultPlane, StormSignal};
+use bft_types::{ClientId, NodeId, ReplicaId};
+use std::time::{Duration, Instant};
 
 /// Overall per-test deadline: generous for slow CI machines; the tests
 /// finish in a few seconds on a laptop.
@@ -45,7 +48,13 @@ fn normal_case_commits_mixed_workload_with_identical_journals() {
     let workload = Workload::closed(60);
     let reports = cluster.run_clients(4, workload.clone(), DEADLINE);
     for r in &reports {
-        assert_eq!(r.completed, 60, "client {} fell short", r.client.0);
+        assert_eq!(
+            r.completed,
+            60,
+            "client {} fell short\n{}",
+            r.client.0,
+            view_change_forensics(&cluster, &reports)
+        );
         assert_counter_sequence(&workload, &r.results);
     }
     // Laggards catch up through status retransmission; then all four
@@ -77,9 +86,18 @@ fn normal_case_commits_mixed_workload_with_identical_journals() {
 
 /// Where a stalled view change stands: every surviving replica's view,
 /// execution progress and view-change counters, and every client's
-/// progress and retransmissions.
+/// progress and retransmissions, the stuck op's included.
 fn view_change_forensics(cluster: &LoopbackCluster, reports: &[ClientReport]) -> String {
-    let replicas = cluster.snapshots().into_iter().map(|s| {
+    forensics(cluster.snapshots(), reports)
+}
+
+/// [`view_change_forensics`] for replicas spawned outside a cluster.
+fn node_forensics(nodes: &[NodeHandle], reports: &[ClientReport]) -> String {
+    forensics(nodes.iter().filter_map(|n| n.snapshot()).collect(), reports)
+}
+
+fn forensics(snaps: Vec<Snapshot>, reports: &[ClientReport]) -> String {
+    let replicas = snaps.into_iter().map(|s| {
         format!(
             "  r{}: view={} view_active={} last_exec={} committed_frontier={} \
              view_changes_started={} views_entered={} exec_blocker={}",
@@ -95,8 +113,8 @@ fn view_change_forensics(cluster: &LoopbackCluster, reports: &[ClientReport]) ->
     });
     let clients = reports.iter().map(|r| {
         format!(
-            "  c{}: completed={} retransmitted={}",
-            r.client.0, r.completed, r.retransmitted
+            "  c{}: completed={} retransmitted={} pending_retransmissions={}",
+            r.client.0, r.completed, r.retransmitted, r.pending_retransmissions
         )
     });
     replicas.chain(clients).collect::<Vec<_>>().join("\n")
@@ -190,11 +208,20 @@ fn pooled_and_direct_replicas_commit_identical_journals() {
 
     let workload = Workload::closed(60);
     let ids: Vec<ClientId> = (0..3).map(ClientId).collect();
-    let outcomes = run_workers(&ids, |c| run_client(c, &topo, &workload, DEADLINE));
-    for (c, outcome) in outcomes {
-        let report = outcome.unwrap_or_else(|why| panic!("client {} died: {why}", c.0));
-        assert_eq!(report.completed, 60, "client {} fell short", c.0);
-        assert_counter_sequence(&workload, &report.results);
+    let reports: Vec<ClientReport> =
+        run_workers(&ids, |c| run_client(c, &topo, &workload, DEADLINE))
+            .into_iter()
+            .map(|(c, outcome)| outcome.unwrap_or_else(|why| panic!("client {} died: {why}", c.0)))
+            .collect();
+    for r in &reports {
+        assert_eq!(
+            r.completed,
+            60,
+            "client {} fell short\n{}",
+            r.client.0,
+            node_forensics(&nodes, &reports)
+        );
+        assert_counter_sequence(&workload, &r.results);
     }
 
     // Laggards catch up through status retransmission; then pooled and
@@ -253,7 +280,13 @@ fn pipelined_pooled_cluster_is_exactly_once_under_retransmit_storm() {
     let reports = cluster.run_clients(4, workload.clone(), DEADLINE);
     let mut any_retransmitted = 0u64;
     for r in &reports {
-        assert_eq!(r.completed, 40, "client {} fell short", r.client.0);
+        assert_eq!(
+            r.completed,
+            40,
+            "client {} fell short\n{}",
+            r.client.0,
+            view_change_forensics(&cluster, &reports)
+        );
         any_retransmitted += r.retransmitted;
         assert_counter_sequence(&workload, &r.results);
     }
@@ -320,9 +353,11 @@ fn killed_then_restarted_replica_rejoins_and_converges() {
     });
     for r in &reports {
         assert_eq!(
-            r.completed, 80,
-            "client {} did not finish across the crash–restart",
-            r.client.0
+            r.completed,
+            80,
+            "client {} did not finish across the crash–restart\n{}",
+            r.client.0,
+            view_change_forensics(&cluster, &reports)
         );
         assert_counter_sequence(&workload, &r.results);
     }
@@ -350,7 +385,12 @@ fn wait_converged_timeout_reports_per_replica_diagnostics() {
     let workload = Workload::closed(20);
     let reports = cluster.run_clients(2, workload.clone(), DEADLINE);
     for r in &reports {
-        assert_eq!(r.completed, 20, "f=1 tolerates one isolated replica");
+        assert_eq!(
+            r.completed,
+            20,
+            "f=1 tolerates one isolated replica\n{}",
+            view_change_forensics(&cluster, &reports)
+        );
         assert_counter_sequence(&workload, &r.results);
     }
     let timeout = cluster
@@ -393,7 +433,13 @@ fn forced_client_retransmission_preserves_exactly_once() {
     let reports = cluster.run_clients(2, workload.clone(), DEADLINE);
     let mut any_retransmitted = 0u64;
     for r in &reports {
-        assert_eq!(r.completed, 40);
+        assert_eq!(
+            r.completed,
+            40,
+            "client {} fell short\n{}",
+            r.client.0,
+            view_change_forensics(&cluster, &reports)
+        );
         any_retransmitted += r.retransmitted;
         // The counter sequence is the exactly-once proof: a re-executed
         // INC would skip a value, a dropped one would repeat.
@@ -462,11 +508,20 @@ fn replicas_use_two_threads_and_count_frames_not_writes() {
 
     let workload = Workload::closed(60);
     let ids: Vec<ClientId> = (0..3).map(ClientId).collect();
-    let outcomes = run_workers(&ids, |c| run_client(c, &topo, &workload, DEADLINE));
-    for (c, outcome) in outcomes {
-        let report = outcome.unwrap_or_else(|why| panic!("client {} died: {why}", c.0));
-        assert_eq!(report.completed, 60, "client {} fell short", c.0);
-        assert_counter_sequence(&workload, &report.results);
+    let reports: Vec<ClientReport> =
+        run_workers(&ids, |c| run_client(c, &topo, &workload, DEADLINE))
+            .into_iter()
+            .map(|(c, outcome)| outcome.unwrap_or_else(|why| panic!("client {} died: {why}", c.0)))
+            .collect();
+    for r in &reports {
+        assert_eq!(
+            r.completed,
+            60,
+            "client {} fell short\n{}",
+            r.client.0,
+            node_forensics(&nodes, &reports)
+        );
+        assert_counter_sequence(&workload, &r.results);
     }
 
     for addr in &topo.replicas {
@@ -499,4 +554,59 @@ fn replicas_use_two_threads_and_count_frames_not_writes() {
         node.kill();
         assert_eq!(node.residual_state(), (0, 0, 0), "r{} leaked", node.id.0);
     }
+}
+
+/// The client loop's storm hook: a request lost while its client was
+/// isolated would wait a full 60 s retransmission timeout, but bumping
+/// the client's [`StormSignal`] epoch force-fires the armed timer, so
+/// the op completes at once with exactly one retransmission.
+#[test]
+fn storm_signal_force_fires_a_stuck_clients_retransmission() {
+    let plane = FaultPlane::new(5);
+    let cluster = LoopbackCluster::start_chaos(1, 1, Some(plane.clone()), |_| {});
+    let client = NodeId::Client(ClientId(0));
+    plane.isolate(client);
+    let storm = StormSignal::new(1);
+    let hooks = ClientHooks {
+        faults: Some(plane.clone()),
+        storm: Some(storm.clone()),
+    };
+    let workload = Workload {
+        retransmit: Some(Duration::from_secs(60)),
+        ..Workload::closed(1)
+    };
+    let (report, stormed) = std::thread::scope(|scope| {
+        let worker = scope
+            .spawn(|| run_client_with(ClientId(0), &cluster.topo, &workload, DEADLINE, &hooks));
+        // Wait until the first send is dropped at the client's own
+        // endpoint; then heal, and storm instead of waiting out the timer.
+        let waiting = Instant::now();
+        while plane.total_tally().dropped == 0 && waiting.elapsed() < DEADLINE {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            plane.total_tally().dropped > 0,
+            "the isolated client's request was dropped"
+        );
+        plane.reconnect(client);
+        storm.trigger(1);
+        let stormed = Instant::now();
+        (worker.join().expect("client worker"), stormed)
+    });
+    let reports = [report];
+    let report = &reports[0];
+    assert_eq!(
+        report.completed,
+        1,
+        "the storm must resend the stuck op\n{}",
+        view_change_forensics(&cluster, &reports)
+    );
+    assert_eq!(report.retransmitted, 1, "exactly one forced resend");
+    assert_eq!(report.pending_retransmissions, 0, "nothing left in flight");
+    assert!(
+        stormed.elapsed() < Duration::from_secs(20),
+        "completed by the storm, not the 60 s timer: {:?}",
+        stormed.elapsed()
+    );
+    cluster.shutdown();
 }

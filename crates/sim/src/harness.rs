@@ -653,8 +653,8 @@ impl<S: Service> Cluster<S> {
                 let executed = after.requests_executed - before.requests_executed;
                 cpu_us += executed as f64 * self.channel.cost().execute_us;
                 // Checkpoint cost: digest of modified pages, approximated
-                // by one page digest per checkpoint (§8.4.1 measures the
-                // real cost via the criterion bench).
+                // by one page digest per checkpoint (§8.4.1; the live
+                // benchmark's `service.page_us_per_ckpt` measures it).
                 let ckpts = after.checkpoints_taken - before.checkpoints_taken;
                 cpu_us += ckpts as f64 * self.channel.cost().digest.eval(4096);
                 actions

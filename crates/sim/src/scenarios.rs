@@ -1,16 +1,15 @@
-//! Prebuilt experiment scenarios: one function per Chapter 8 evaluation
-//! result (see `DESIGN.md` §4's experiment index). The `tables` binary and
-//! the integration tests both run these.
+//! Prebuilt simulator scenarios: the §8.3.1 micro-benchmark latency and
+//! the §8.6 Andrew runs (replicated BFS against the unreplicated
+//! baseline) that the integration tests check against the paper's shape.
 
-use crate::behavior::Behavior;
-use crate::harness::{mem_cluster, Cluster, ClusterConfig, Driver, Fault, OpGen};
+use crate::harness::{mem_cluster, Cluster, ClusterConfig, Driver, OpGen};
 use bfs::andrew::{generate_script, AndrewConfig, PathResolver, Phase, ScriptedOp};
 use bfs::{BfsService, NfsReply};
 use bft_core::config::{AuthMode, Optimizations};
 use bft_core::ReplicaConfig;
 use bft_net::ChannelConfig;
 use bft_statemachine::MemService;
-use bft_types::{ClientId, NodeId, ReplicaId, SimDuration, SimTime};
+use bft_types::{ClientId, SimDuration, SimTime};
 use bytes::Bytes;
 
 /// Result of a latency experiment.
@@ -19,15 +18,6 @@ pub struct LatencyResult {
     /// Mean operation latency in microseconds.
     pub mean_us: f64,
     /// Operations measured.
-    pub ops: u64,
-}
-
-/// Result of a throughput experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct ThroughputResult {
-    /// Sustained operations per second.
-    pub ops_per_sec: f64,
-    /// Operations completed.
     pub ops: u64,
 }
 
@@ -49,24 +39,6 @@ impl MicroOp {
         MicroOp {
             arg: 0,
             result: 0,
-            read_only: false,
-        }
-    }
-
-    /// The 4/0 benchmark (4 KB argument).
-    pub fn four_zero() -> Self {
-        MicroOp {
-            arg: 4096,
-            result: 0,
-            read_only: false,
-        }
-    }
-
-    /// The 0/4 benchmark (4 KB result).
-    pub fn zero_four() -> Self {
-        MicroOp {
-            arg: 0,
-            result: 4096,
             read_only: false,
         }
     }
@@ -114,123 +86,6 @@ pub fn latency(op: MicroOp, auth: AuthMode, opts: Optimizations, ops: u64) -> La
         mean_us: cluster.metrics.latency.mean_us(),
         ops: cluster.metrics.ops_completed,
     }
-}
-
-/// E-8.3.2 / E-8.3.4: throughput with a given client count and group size.
-pub fn throughput(op: MicroOp, f: usize, clients: u32, ops_per_client: u64) -> ThroughputResult {
-    let mut config = micro_config(f, clients);
-    config.replica.window = 32;
-    let mut cluster = mem_cluster(config, 64);
-    cluster.set_workload(OpGen::fixed(op.bytes(), op.read_only, ops_per_client));
-    let deadline = SimTime(SimDuration::from_secs(1200).as_micros());
-    let done = cluster.run_to_completion(deadline);
-    assert!(done, "throughput workload must complete");
-    ThroughputResult {
-        ops_per_sec: cluster.metrics.throughput_ops_per_sec(),
-        ops: cluster.metrics.ops_completed,
-    }
-}
-
-/// E-8.5: view-change latency — crash the primary mid-run and measure the
-/// service interruption (time between the last completion before the crash
-/// and the first completion after it).
-pub fn view_change_interruption(seed: u64) -> SimDuration {
-    let mut config = micro_config(1, 2);
-    config.seed = seed;
-    config.replica.view_change_timeout = SimDuration::from_millis(100);
-    // Fine-grained retransmission so the measurement isolates the view
-    // change itself rather than the status period.
-    config.replica.status_interval = SimDuration::from_millis(20);
-    let crash_at = SimTime(500_000);
-    let mut cluster = mem_cluster(config, 64);
-    cluster.schedule_fault(
-        crash_at,
-        Fault::SetBehavior(ReplicaId(0), Behavior::Crashed),
-    );
-    cluster.set_workload(OpGen::fixed(MicroOp::zero_zero().bytes(), false, 2000));
-    cluster.run_until(SimTime(20_000_000));
-    assert!(
-        cluster.replica(1).view().0 >= 1,
-        "view change must have happened"
-    );
-    // Interruption = the largest gap between consecutive completions after
-    // the crash (in-flight operations may still finish on the surviving
-    // replicas; the gap is the stall until the new view processes requests).
-    let mut times: Vec<SimTime> = cluster.completion_times().to_vec();
-    times.sort_unstable();
-    let mut worst = SimDuration::ZERO;
-    let mut prev = crash_at;
-    for &t in times.iter().filter(|&&t| t > crash_at) {
-        worst = worst.max(t.since(prev));
-        prev = t;
-    }
-    assert!(prev > crash_at, "service resumed after the view change");
-    worst
-}
-
-/// E-8.4.2: state-transfer volume and time to bring a lagging replica up
-/// to date after missing `lag_batches` batches of `write_bytes`-byte
-/// writes.
-pub fn state_transfer_cost(lag_batches: u64, write_bytes: usize) -> (u64, u64, SimDuration) {
-    let mut config = micro_config(1, 1);
-    config.replica.checkpoint_interval = 8;
-    let mut cluster = mem_cluster(config, 128);
-    cluster.schedule_fault(SimTime(0), Fault::Isolate(NodeId::Replica(ReplicaId(3))));
-    cluster.set_workload(OpGen::fixed(
-        MemService::op_rw(write_bytes, 0),
-        false,
-        lag_batches,
-    ));
-    let done = cluster.run_to_completion(SimTime(SimDuration::from_secs(300).as_micros()));
-    assert!(done, "workload completes without replica 3");
-    let target = cluster.replica(0).stable_checkpoint().0;
-    let reconnect = cluster.now();
-    cluster.schedule_fault(reconnect, Fault::Reconnect(NodeId::Replica(ReplicaId(3))));
-    // Step in slices so the measured time is the actual catch-up time.
-    let deadline = SimTime(reconnect.0 + SimDuration::from_secs(120).as_micros());
-    while cluster.now() < deadline && cluster.replica(3).stable_checkpoint().0 < target {
-        let t = SimTime(cluster.now().0 + 5_000);
-        cluster.run_until(t.min(deadline));
-    }
-    let r3 = cluster.replica(3);
-    assert!(
-        r3.stable_checkpoint().0 >= target,
-        "replica 3 caught up (stable {:?} vs target {:?})",
-        r3.stable_checkpoint().0,
-        target
-    );
-    (
-        r3.stats.pages_fetched,
-        r3.stats.bytes_fetched,
-        cluster.now().since(reconnect),
-    )
-}
-
-/// E-8.6.3: run with proactive recovery enabled; returns (recoveries
-/// completed, ops completed, throughput).
-pub fn recovery_run(watchdog: SimDuration, run_for: SimDuration, seed: u64) -> (u64, u64, f64) {
-    let mut config = micro_config(1, 2);
-    config.seed = seed;
-    config.replica.checkpoint_interval = 8;
-    config.replica.recovery.enabled = true;
-    config.replica.recovery.watchdog_period = watchdog;
-    config.replica.recovery.key_refresh_period =
-        SimDuration::from_micros(watchdog.as_micros() / 8).max(SimDuration::from_secs(1));
-    let mut cluster = mem_cluster(config, 64);
-    cluster.set_workload(OpGen::fixed(
-        MicroOp::zero_zero().bytes(),
-        false,
-        u64::MAX / 2,
-    ));
-    cluster.run_until(SimTime(run_for.as_micros()));
-    let recoveries: u64 = (0..4)
-        .map(|r| cluster.replica(r).stats.recoveries_completed)
-        .sum();
-    (
-        recoveries,
-        cluster.metrics.ops_completed,
-        cluster.metrics.throughput_ops_per_sec(),
-    )
 }
 
 // ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@
 //!
 //! The column split is what makes the cheap byte-level RLE effective:
 //! without it, 8-byte little-endian seqnos interleave with payload and
-//! break every run. `PERF.md` records the measured footprint win of the
-//! split+delta pipeline over the same RLE on the interleaved layout.
+//! break every run. The `column_split_beats_interleaved_rle` test pins
+//! the footprint win of the split+delta pipeline over the same RLE on
+//! the interleaved layout.
 
 /// Errors from the decompression side.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,20 +208,6 @@ pub fn decompress_pages(mut data: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, CastErro
     Ok(pages)
 }
 
-/// The baseline "plain compression" layout `PERF.md` compares against:
-/// the same RLE applied to the naive interleaved encoding (per page:
-/// 8-byte seqno, 8-byte length, body).
-pub fn compress_pages_interleaved(pages: &[(u64, &[u8])]) -> Vec<u8> {
-    let total: usize = pages.iter().map(|(_, b)| b.len() + 16).sum();
-    let mut blob = Vec::with_capacity(total);
-    for &(lm, body) in pages {
-        blob.extend_from_slice(&lm.to_le_bytes());
-        blob.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        blob.extend_from_slice(body);
-    }
-    rle_compress(&blob)
-}
-
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -232,6 +219,20 @@ fn unzigzag(v: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The baseline "plain compression" layout: the same RLE applied
+    /// to the naive interleaved encoding (per page: 8-byte seqno,
+    /// 8-byte length, body).
+    fn compress_pages_interleaved(pages: &[(u64, &[u8])]) -> Vec<u8> {
+        let total: usize = pages.iter().map(|(_, b)| b.len() + 16).sum();
+        let mut blob = Vec::with_capacity(total);
+        for &(lm, body) in pages {
+            blob.extend_from_slice(&lm.to_le_bytes());
+            blob.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            blob.extend_from_slice(body);
+        }
+        rle_compress(&blob)
+    }
 
     #[test]
     fn varint_roundtrip() {
